@@ -16,15 +16,11 @@
  * the fast-path determinism contract (it fails loudly if simulated
  * cycles per page differ between fast and reference sweeps).
  *
- * Usage: bench_all [--quick] [--out FILE] [--label NAME]
- *                  [--threads N] [--intra-cell-threads M]
+ * Usage: bench_all [--quick] [--out FILE] [--label NAME] [--threads N]
  *   --quick: small cell set for CI smoke runs.
  *   --label: name recorded for this run's entry (default "local").
  *   --threads: host threads for the parallel e2e leg (default: the
  *     CREV_BENCH_THREADS/affinity-derived benchThreads()).
- *   --intra-cell-threads: lockstep-engine lanes (CREV_PAR_CORES) for
- *     the fast e2e legs and the intra-cell engine comparison
- *     (default 1).
  */
 
 #include <algorithm>
@@ -37,8 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "base/host_budget.h"
-#include "base/simd.h"
 #include "bench_runner.h"
 #include "bench_util.h"
 #include "core/machine.h"
@@ -60,13 +54,6 @@ struct RegimeRow
     SweepRegime regime;
     SweepRegimeResult fast;
     SweepRegimeResult reference;
-};
-
-struct KernelsRow
-{
-    SweepRegime regime;
-    benchutil::KernelsAbResult ab;
-    bool sim_match = true;
 };
 
 void
@@ -125,21 +112,17 @@ addCells(ParallelRunner &runner, bool quick)
 }
 
 double
-timedRun(bool quick, unsigned threads, bool host_fast_paths,
-         unsigned par_cores, const std::string &cost_file,
-         std::vector<CellResult> *results_out,
-         base::HostBudget::Decisions *decisions_out = nullptr)
+timedRun(bool quick, unsigned threads, bool host_fast_paths, bool lockstep,
+         const std::string &cost_file, std::vector<CellResult> *results_out)
 {
     // The cells build their MachineConfigs internally; the env knobs
     // are the global defaults they pick up. Set before any worker
     // exists — parallelMap with 1 worker runs inline on this thread.
-    // par_cores selects the engine (DESIGN.md §14): 0 pins the serial
-    // token engine (the seed-equivalent reference), >= 1 the lockstep
-    // engine with that many lanes.
+    // CREV_PAR_CORES selects the engine (DESIGN.md §14): 0 pins the
+    // serial token engine (the seed-equivalent reference), 1 the
+    // lockstep engine.
     setenv("CREV_HOST_FAST_PATHS", host_fast_paths ? "1" : "0", 1);
-    char par[16];
-    std::snprintf(par, sizeof(par), "%u", par_cores);
-    setenv("CREV_PAR_CORES", par, 1);
+    setenv("CREV_PAR_CORES", lockstep ? "1" : "0", 1);
     ParallelRunner runner;
     runner.setCostFile(cost_file);
     addCells(runner, quick);
@@ -151,8 +134,6 @@ timedRun(bool quick, unsigned threads, bool host_fast_paths,
     setenv("CREV_HOST_FAST_PATHS", "1", 1);
     if (results_out != nullptr)
         *results_out = std::move(results);
-    if (decisions_out != nullptr)
-        *decisions_out = runner.lastDecisions();
     return secs;
 }
 
@@ -225,7 +206,6 @@ sameSimResults(const std::vector<CellResult> &a,
 struct IntraCellResult
 {
     std::string cell;
-    unsigned lanes = 1;
     double serial_seconds = 0;
     double lockstep_seconds = 0;
     bool match = true;
@@ -239,19 +219,16 @@ struct IntraCellResult
  * trials of the same engine.
  */
 IntraCellResult
-measureIntraCell(bool quick, unsigned lanes)
+measureIntraCell(bool quick)
 {
     IntraCellResult r;
-    r.lanes = lanes;
     // Full mode takes the heaviest cell of the set (omnetpp/reloaded
     // is handoff- and revocation-dense); quick mode a light one.
     const char *profile = quick ? "hmmer_retro" : "omnetpp";
     r.cell = std::string("spec/") + profile + "/reloaded";
     const workload::SpecProfile &prof = workload::specProfile(profile);
-    auto run_once = [&prof](unsigned par, double *secs) {
-        char buf[16];
-        std::snprintf(buf, sizeof(buf), "%u", par);
-        setenv("CREV_PAR_CORES", buf, 1);
+    auto run_once = [&prof](bool lockstep, double *secs) {
+        setenv("CREV_PAR_CORES", lockstep ? "1" : "0", 1);
         const auto start = std::chrono::steady_clock::now();
         core::RunMetrics m =
             workload::runSpecOn(core::Strategy::kReloaded, prof);
@@ -266,12 +243,11 @@ measureIntraCell(bool quick, unsigned lanes)
     const std::size_t pairs = 3;
     core::RunMetrics serial_m, lockstep_m;
     for (std::size_t k = 0; k < pairs; ++k) {
-        std::fprintf(stderr,
-                     "  intra-cell pair %zu/%zu (%s, %u lanes)...\n",
-                     k + 1, pairs, r.cell.c_str(), lanes);
+        std::fprintf(stderr, "  intra-cell pair %zu/%zu (%s)...\n",
+                     k + 1, pairs, r.cell.c_str());
         double ss = 0, ls = 0;
-        core::RunMetrics sm = run_once(0, &ss);
-        core::RunMetrics lm = run_once(lanes, &ls);
+        core::RunMetrics sm = run_once(false, &ss);
+        core::RunMetrics lm = run_once(true, &ls);
         if (!sameMetrics(sm, lm)) {
             std::fprintf(stderr,
                          "FAIL: %s simulated results differ between "
@@ -316,13 +292,13 @@ struct AllocShardResult
  *  consumer freeing on core 1, so with alloc_cores > 1 every consumer
  *  free rides the remote-dealloc message queues (DESIGN.md §15). */
 core::RunMetrics
-runXcoreCell(unsigned alloc_cores, unsigned par_cores, int iters)
+runXcoreCell(unsigned alloc_cores, bool lockstep, int iters)
 {
     core::MachineConfig cfg;
     cfg.strategy = core::Strategy::kReloaded;
     cfg.policy.min_bytes = 64 * 1024;
     cfg.alloc_cores = alloc_cores;
-    cfg.par_cores = par_cores;
+    cfg.par_cores = lockstep;
     cfg.seed = 5;
     core::Machine m(cfg);
     auto queue = std::make_shared<std::vector<cap::Capability>>();
@@ -361,7 +337,7 @@ runXcoreCell(unsigned alloc_cores, unsigned par_cores, int iters)
  * legitimately differ — that is the simulated topology changing).
  */
 AllocShardResult
-measureAllocShard(bool quick, unsigned lanes)
+measureAllocShard(bool quick)
 {
     AllocShardResult r;
     // Sized so every timed leg is well clear of host scheduling noise
@@ -381,17 +357,17 @@ measureAllocShard(bool quick, unsigned lanes)
                          "  alloc-shard pair %zu/%zu (alloc_cores "
                          "%u)...\n",
                          k + 1, pairs, ac);
-            auto once = [&](unsigned par, double *secs) {
+            auto once = [&](bool lockstep, double *secs) {
                 const auto start = std::chrono::steady_clock::now();
-                core::RunMetrics m = runXcoreCell(ac, par, iters);
+                core::RunMetrics m = runXcoreCell(ac, lockstep, iters);
                 *secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
                 return m;
             };
             double ss = 0, ls = 0;
-            core::RunMetrics sm = once(0, &ss);
-            core::RunMetrics lm = once(lanes, &ls);
+            core::RunMetrics sm = once(false, &ss);
+            core::RunMetrics lm = once(true, &ls);
             if (!sameMetrics(sm, lm) ||
                 sm.quarantine.remote_free_sends !=
                     lm.quarantine.remote_free_sends) {
@@ -452,7 +428,6 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_TRAJECTORY.json";
     std::string label = "local";
     unsigned threads_flag = 0; // 0 = benchThreads()
-    unsigned intra_lanes = 1;
     const auto parseCount = [](const char *s) {
         char *end = nullptr;
         const unsigned long v = std::strtoul(s, &end, 10);
@@ -472,9 +447,6 @@ main(int argc, char **argv)
             label = argv[++i];
         else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
             threads_flag = parseCount(argv[++i]);
-        else if (std::strcmp(argv[i], "--intra-cell-threads") == 0 &&
-                 i + 1 < argc)
-            intra_lanes = parseCount(argv[++i]);
     }
 
     benchutil::banner("Host-performance trajectory (bench_all)",
@@ -551,62 +523,6 @@ main(int argc, char **argv)
                         row.fast.host_ns_per_page,
                     row.fast.sim_cycles_per_page);
 
-    // --- kernels A/B: dispatched SIMD + decode memo vs forced
-    // scalar without the memo, same regimes, same noise treatment ---
-    std::vector<KernelsRow> kernel_rows;
-    bool kernels_ok = true;
-    for (SweepRegime r :
-         {SweepRegime::kClean, SweepRegime::kSparse, SweepRegime::kFull,
-          SweepRegime::kRevokeDense}) {
-        KernelsRow row;
-        row.regime = r;
-        std::fprintf(stderr, "  kernels A/B %s (%zu trials)...\n",
-                     benchutil::sweepRegimeName(r), trials);
-        for (std::size_t k = 0; k < trials; ++k) {
-            const auto ab =
-                benchutil::measureKernelsAb(r, pages, repeats);
-            if (k == 0) {
-                row.ab = ab;
-                continue;
-            }
-            row.ab.on.host_ns_per_page = std::min(
-                row.ab.on.host_ns_per_page, ab.on.host_ns_per_page);
-            row.ab.off.host_ns_per_page = std::min(
-                row.ab.off.host_ns_per_page, ab.off.host_ns_per_page);
-            if (ab.on.sim_cycles_per_page !=
-                    row.ab.on.sim_cycles_per_page ||
-                ab.off.sim_cycles_per_page !=
-                    row.ab.off.sim_cycles_per_page) {
-                std::fprintf(stderr,
-                             "FAIL: kernels %s simulated cycles vary "
-                             "across trials\n",
-                             benchutil::sweepRegimeName(r));
-                row.sim_match = false;
-            }
-        }
-        if (!row.ab.simMatches()) {
-            std::fprintf(stderr,
-                         "FAIL: kernels %s simulated results diverge "
-                         "between scalar and dispatched legs\n",
-                         benchutil::sweepRegimeName(r));
-            row.sim_match = false;
-        }
-        kernels_ok = kernels_ok && row.sim_match;
-        kernel_rows.push_back(row);
-    }
-    determinism_ok = determinism_ok && kernels_ok;
-
-    std::printf("\nkernel A/B (%s dispatch + decode memo vs scalar, "
-                "host ns/page):\n",
-                simd::levelName(simd::level()));
-    std::printf("  %-12s %12s %12s %9s\n", "regime", "kernels",
-                "scalar", "speedup");
-    for (const auto &row : kernel_rows)
-        std::printf("  %-12s %12.1f %12.1f %8.2fx\n",
-                    benchutil::sweepRegimeName(row.regime),
-                    row.ab.on.host_ns_per_page,
-                    row.ab.off.host_ns_per_page, row.ab.hostSpeedup());
-
     // --- end-to-end cell set, three host configurations ---
     // reference-serial is the seed-equivalent host behaviour (no fast
     // paths, one thread, serial token engine); fast-serial isolates
@@ -620,24 +536,22 @@ main(int argc, char **argv)
     const std::size_t legs = 2;
     double ref_serial_secs = 0, serial_secs = 0, parallel_secs = 0;
     std::vector<CellResult> ref_cells, cells;
-    base::HostBudget::Decisions arbiter;
     for (std::size_t leg = 0; leg < legs; ++leg) {
         std::fprintf(stderr,
                      "  e2e leg %zu/%zu: serial, fast paths off...\n",
                      leg + 1, legs);
         std::vector<CellResult> rc;
-        const double r = timedRun(quick, 1, false, 0, out_path, &rc);
+        const double r = timedRun(quick, 1, false, false, out_path, &rc);
         std::fprintf(stderr,
                      "  e2e leg %zu/%zu: serial, fast paths on...\n",
                      leg + 1, legs);
-        const double s =
-            timedRun(quick, 1, true, intra_lanes, out_path, nullptr);
+        const double s = timedRun(quick, 1, true, true, out_path, nullptr);
         std::fprintf(stderr,
                      "  e2e leg %zu/%zu: %u host threads...\n",
                      leg + 1, legs, threads);
         std::vector<CellResult> pc;
-        const double p = timedRun(quick, threads, true, intra_lanes,
-                                  out_path, &pc, &arbiter);
+        const double p =
+            timedRun(quick, threads, true, true, out_path, &pc);
         determinism_ok = determinism_ok && sameSimResults(rc, pc);
         if (leg == 0) {
             ref_serial_secs = r;
@@ -663,32 +577,22 @@ main(int argc, char **argv)
                 "vs reference)\n",
                 threads, parallel_secs,
                 ref_serial_secs / parallel_secs);
-    std::printf("  arbiter: %u slots (%u workers pre-charged, lane "
-                "cap %u), %llu/%llu transient slots granted over "
-                "%llu requests (%llu clamped)\n",
-                arbiter.total_slots, arbiter.base_in_use,
-                arbiter.lane_cap,
-                static_cast<unsigned long long>(arbiter.granted),
-                static_cast<unsigned long long>(arbiter.wanted),
-                static_cast<unsigned long long>(arbiter.requests),
-                static_cast<unsigned long long>(arbiter.clamped));
 
     // --- intra-cell engine comparison (DESIGN.md §14) ---
     std::fprintf(stderr, "  intra-cell engine comparison...\n");
-    const IntraCellResult intra = measureIntraCell(quick, intra_lanes);
+    const IntraCellResult intra = measureIntraCell(quick);
     determinism_ok = determinism_ok && intra.match;
     std::printf("\nintra-cell engine comparison (%s):\n",
                 intra.cell.c_str());
     std::printf("  serial token engine:       %.2fs\n",
                 intra.serial_seconds);
-    std::printf("  lockstep engine (%u lane%s): %.2fs (%.2fx)\n",
-                intra.lanes, intra.lanes == 1 ? "" : "s",
+    std::printf("  lockstep engine:           %.2fs (%.2fx)\n",
                 intra.lockstep_seconds,
                 intra.serial_seconds / intra.lockstep_seconds);
 
     // --- sharded-allocator A/B (DESIGN.md §15) ---
     std::fprintf(stderr, "  sharded-allocator comparison...\n");
-    const AllocShardResult ashard = measureAllocShard(quick, intra_lanes);
+    const AllocShardResult ashard = measureAllocShard(quick);
     determinism_ok = determinism_ok && ashard.match;
     std::printf("\nsharded allocator (cross-core producer/consumer, "
                 "alloc_cores 1 vs %u):\n",
@@ -718,6 +622,8 @@ main(int argc, char **argv)
                  benchutil::jsonEscape(label).c_str());
     std::fprintf(f, "      \"quick\": %s,\n", quick ? "true" : "false");
     std::fprintf(f, "      \"host_threads\": %u,\n", threads);
+    std::fprintf(f, "      \"host\": %s,\n",
+                 benchutil::hostFingerprintJson().c_str());
     std::fprintf(f, "      \"sweep_microbench\": [\n");
     for (std::size_t i = 0; i < regimes.size(); ++i) {
         const auto &row = regimes[i];
@@ -741,54 +647,6 @@ main(int argc, char **argv)
             i + 1 < regimes.size() ? "," : "");
     }
     std::fprintf(f, "      ],\n");
-    // Record-level host_speedup aggregates across regimes (total off
-    // ns over total on ns): the gated number is dominated by the
-    // regimes with real tag work, so a noise-sized clean-regime ratio
-    // cannot flip the gate.
-    double kernels_on_ns = 0, kernels_off_ns = 0;
-    for (const auto &row : kernel_rows) {
-        kernels_on_ns += row.ab.on.host_ns_per_page;
-        kernels_off_ns += row.ab.off.host_ns_per_page;
-    }
-    std::fprintf(f, "      \"kernels\": {\"level\": \"%s\", ",
-                 benchutil::jsonEscape(simd::levelName(simd::level()))
-                     .c_str());
-    std::fprintf(f, "\"host_speedup\": %.3f, ",
-                 kernels_on_ns > 0 ? kernels_off_ns / kernels_on_ns
-                                   : 0.0);
-    std::fprintf(f, "\"sim_results_match\": %s, \"legs\": [\n",
-                 kernels_ok ? "true" : "false");
-    for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
-        const auto &row = kernel_rows[i];
-        std::fprintf(
-            f,
-            "        {\"regime\": \"%s\", "
-            "\"on_ns_per_page\": %.2f, "
-            "\"off_ns_per_page\": %.2f, "
-            "\"host_speedup\": %.3f, "
-            "\"sim_cycles_per_page\": %.2f, "
-            "\"sim_cycles_match\": %s}%s\n",
-            benchutil::sweepRegimeName(row.regime),
-            row.ab.on.host_ns_per_page, row.ab.off.host_ns_per_page,
-            row.ab.hostSpeedup(), row.ab.on.sim_cycles_per_page,
-            row.sim_match ? "true" : "false",
-            i + 1 < kernel_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "      ]},\n");
-    std::fprintf(f,
-                 "      \"arbiter\": {\"total_slots\": %u, "
-                 "\"base_in_use\": %u, "
-                 "\"lane_cap\": %u, "
-                 "\"requests\": %llu, "
-                 "\"wanted\": %llu, "
-                 "\"granted\": %llu, "
-                 "\"clamped\": %llu},\n",
-                 arbiter.total_slots, arbiter.base_in_use,
-                 arbiter.lane_cap,
-                 static_cast<unsigned long long>(arbiter.requests),
-                 static_cast<unsigned long long>(arbiter.wanted),
-                 static_cast<unsigned long long>(arbiter.granted),
-                 static_cast<unsigned long long>(arbiter.clamped));
     std::fprintf(f,
                  "      \"end_to_end\": {\"cells\": %zu, "
                  "\"reference_serial_seconds\": %.3f, "
@@ -805,14 +663,12 @@ main(int argc, char **argv)
                  determinism_ok ? "true" : "false");
     std::fprintf(f,
                  "      \"intra_cell\": {\"cell\": \"%s\", "
-                 "\"lanes\": %u, "
                  "\"serial_seconds\": %.3f, "
                  "\"lockstep_seconds\": %.3f, "
                  "\"intra_cell_speedup\": %.3f, "
                  "\"sim_results_match\": %s},\n",
                  benchutil::jsonEscape(intra.cell).c_str(),
-                 intra.lanes, intra.serial_seconds,
-                 intra.lockstep_seconds,
+                 intra.serial_seconds, intra.lockstep_seconds,
                  intra.serial_seconds / intra.lockstep_seconds,
                  intra.match ? "true" : "false");
     std::fprintf(f,

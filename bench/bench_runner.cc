@@ -4,22 +4,25 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <numeric>
 
+#include <unistd.h>
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
-#include "base/host_budget.h"
-#include "base/simd.h"
 #include "core/mutator.h"
 #include "revoker/bitmap.h"
-#include "revoker/memo.h"
-#include "revoker/prescan.h"
 #include "revoker/sweep.h"
 #include "trace/metrics_registry.h"
 #include "workload/spec.h"
+
+/** CMAKE_BUILD_TYPE of the build, for the host fingerprint. */
+#ifndef CREV_BUILD_TYPE
+#define CREV_BUILD_TYPE "unknown"
+#endif
 
 namespace crev::benchutil {
 
@@ -188,21 +191,6 @@ ParallelRunner::run(unsigned threads)
                          return cost[a] > cost[b];
                      });
 
-    // Configure the host core-budget arbiter for the duration of the
-    // run: the pool's workers are pre-charged, and each machine's
-    // *defaulted* lockstep lane count is capped so workers × lanes ×
-    // pre-scan stripes never oversubscribe the cpuset. An explicit
-    // CREV_PAR_CORES still wins inside the cells (operator override).
-    auto &budget = base::HostBudget::instance();
-    const unsigned total = benchThreads();
-    unsigned workers = threads != 0 ? threads : total;
-    if (workers > cells_.size())
-        workers = static_cast<unsigned>(cells_.size());
-    if (workers == 0)
-        workers = 1;
-    budget.configure(total, workers,
-                     std::max(1u, total / workers));
-
     auto by_start = parallelMap(
         cells_.size(),
         [&](std::size_t k) {
@@ -218,12 +206,6 @@ ParallelRunner::run(unsigned threads)
             return r;
         },
         threads);
-
-    // Snapshot the arbiter's decisions for the caller, then revert to
-    // the unconfigured state so standalone code that runs after the
-    // pool (single-machine figure harnesses) is not clamped.
-    last_decisions_ = budget.decisions();
-    budget.configure(0, 0, 0);
 
     // Scatter back to submission order — scheduling is invisible in
     // the results.
@@ -252,14 +234,13 @@ sweepRegimeName(SweepRegime r)
 
 SweepRegimeResult
 measureSweepRegime(SweepRegime regime, bool host_fast_paths,
-                   std::size_t pages, std::size_t repeats, bool memo,
-                   bool with_prescan)
+                   std::size_t pages, std::size_t repeats,
+                   bool /*memo*/, bool /*with_prescan*/)
 {
     core::MachineConfig cfg;
     cfg.strategy = core::Strategy::kBaseline; // no revoker daemon
     cfg.host_fast_paths = host_fast_paths;
     core::Machine m(cfg);
-    revoker::DecodeMemo decode_memo;
 
     SweepRegimeResult result;
     m.spawnMutator("sweep-harness", 1u << 3, [&](core::Mutator &ctx) {
@@ -299,43 +280,9 @@ measureSweepRegime(SweepRegime regime, bool host_fast_paths,
         revoker::RevocationBitmap bitmap(ctx.machine().mmu());
         revoker::SweepEngine engine(ctx.machine().mmu(), bitmap,
                                     host_fast_paths);
-        if (memo && host_fast_paths)
-            engine.setMemo(&decode_memo);
         sim::SimThread &t = ctx.thread();
         if (revoke_dense)
             bitmap.paint(t, v.base, 64);
-
-        // The shipping fast path always pre-scans its work list
-        // before sweeping (Revoker::prescanPages), and that is where
-        // both optimisation tiers live: scanPage runs the
-        // expand/gather kernels, and the memo's page-fresh test lets
-        // the builder skip re-reading unchanged frames across
-        // repeats (= epochs here). Drive the same shape — build,
-        // sweep, clear — per repeat, inside the timed window.
-        const bool prescan_epochs = with_prescan && host_fast_paths;
-        revoker::PrescanPipeline prescan;
-        std::vector<Addr> page_list;
-        if (prescan_epochs) {
-            page_list.reserve(pages);
-            for (std::size_t p = 0; p < pages; ++p)
-                page_list.push_back(first_page + p * kPageSize);
-        }
-        vm::Mmu &mmu = ctx.machine().mmu();
-        auto epochBegin = [&] {
-            if (!prescan_epochs)
-                return;
-            prescan.build(mmu.addressSpace(), bitmap.painted(),
-                          page_list, nullptr,
-                          memo ? &decode_memo : nullptr,
-                          mmu.frameEpoch());
-            engine.setPrescan(&prescan);
-        };
-        auto epochEnd = [&] {
-            if (!prescan_epochs)
-                return;
-            engine.setPrescan(nullptr);
-            prescan.clear();
-        };
 
         // One untimed warmup pass: faults the sweep's host code and
         // data paths in so the first timed regime isn't cold.
@@ -352,10 +299,8 @@ measureSweepRegime(SweepRegime regime, bool host_fast_paths,
                 armPages();
             const Cycles sim_start = ctx.now();
             const auto host_start = std::chrono::steady_clock::now();
-            epochBegin();
             for (std::size_t p = 0; p < pages; ++p)
                 engine.sweepPage(t, first_page + p * kPageSize);
-            epochEnd();
             host_secs += std::chrono::duration<double>(
                              std::chrono::steady_clock::now() -
                              host_start)
@@ -375,23 +320,46 @@ measureSweepRegime(SweepRegime regime, bool host_fast_paths,
     return result;
 }
 
-KernelsAbResult
-measureKernelsAb(SweepRegime regime, std::size_t pages,
-                 std::size_t repeats)
+std::string
+hostFingerprintJson()
 {
-    KernelsAbResult r;
-    // Off leg first: forced-scalar kernels, no decode memo — the
-    // portable reference path.
-    simd::forceLevel(simd::Level::kScalar);
-    r.off = measureSweepRegime(regime, /*host_fast_paths=*/true, pages,
-                               repeats, /*memo=*/false,
-                               /*with_prescan=*/true);
-    // On leg: the environment-dispatched kernel level plus the memo.
-    simd::refreshFromEnv();
-    r.on = measureSweepRegime(regime, /*host_fast_paths=*/true, pages,
-                              repeats, /*memo=*/true,
-                              /*with_prescan=*/true);
-    return r;
+    const long nproc = sysconf(_SC_NPROCESSORS_ONLN);
+    std::string affinity;
+#if defined(__linux__)
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        for (int c = 0; c < CPU_SETSIZE; ++c) {
+            if (!CPU_ISSET(c, &set))
+                continue;
+            if (!affinity.empty())
+                affinity += ", ";
+            affinity += std::to_string(c);
+        }
+    }
+#endif
+    std::string model = "unknown";
+    if (std::FILE *f = std::fopen("/proc/cpuinfo", "r")) {
+        char line[512];
+        while (std::fgets(line, sizeof(line), f) != nullptr) {
+            if (std::strncmp(line, "model name", 10) != 0)
+                continue;
+            const char *colon = std::strchr(line, ':');
+            if (colon == nullptr)
+                break;
+            model = colon + 1;
+            model.erase(0, model.find_first_not_of(" \t"));
+            model.erase(model.find_last_not_of(" \t\n") + 1);
+            break;
+        }
+        std::fclose(f);
+    }
+    std::string out = "{\"nproc\": ";
+    out += std::to_string(nproc > 0 ? nproc : 0);
+    out += ", \"affinity\": [" + affinity + "]";
+    out += ", \"cpu_model\": \"" + jsonEscape(model) + "\"";
+    out += ", \"compiler\": \"" + jsonEscape(__VERSION__) + "\"";
+    out += ", \"build_type\": \"" + jsonEscape(CREV_BUILD_TYPE) + "\"}";
+    return out;
 }
 
 std::string

@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "base/host_budget.h"
 #include "core/machine.h"
 
 namespace crev::benchutil {
@@ -117,17 +116,8 @@ class ParallelRunner
     void setCostFile(std::string path) { cost_file_ = std::move(path); }
 
     /** Run all cells on @p threads workers (0 = benchThreads(),
-     *  always on spawned pool workers — see parallelMap). The host
-     *  core-budget arbiter (base/host_budget.h) is configured for the
-     *  duration of the run and reverted before returning. */
+     *  always on spawned pool workers — see parallelMap). */
     std::vector<CellResult> run(unsigned threads = 0);
-
-    /** Arbiter decision counters snapshotted at the end of the last
-     *  run() (all-zero before any run). */
-    const base::HostBudget::Decisions &lastDecisions() const
-    {
-        return last_decisions_;
-    }
 
     std::size_t size() const { return cells_.size(); }
 
@@ -139,7 +129,6 @@ class ParallelRunner
     };
     std::vector<Cell> cells_;
     std::string cost_file_ = "BENCH_TRAJECTORY.json";
-    base::HostBudget::Decisions last_decisions_;
 };
 
 // --- sweep-throughput harness (microbench + BENCH_*.json) ---
@@ -173,18 +162,9 @@ struct SweepRegimeResult
  * must come out identical for both fast-path settings (that is the
  * determinism contract); only host ns may differ.
  *
- * When @p memo is true (and fast paths are on) the harness attaches a
- * cross-epoch DecodeMemo to the sweep engine, so repeats after the
- * first replay their decodes through the bits-validated cache — the
- * steady-state shape of a long-running machine's sweep.
- *
- * When @p with_prescan is true (and fast paths are on) each repeat
- * runs the full epoch shape the revoker ships — pre-scan build over
- * the page list (with the memo wired when @p memo is set), sweep,
- * clear — all inside the timed window. This is where the
- * expand/gather kernels and the memo's page-fresh frame-read skip
- * actually execute in production; the bare-sweep form isolates the
- * sweep inner loop itself.
+ * @p memo and @p with_prescan are unused: they keep the signature
+ * hostbench/hostbench.cpp calls, and a benchmark-only change can drop
+ * them.
  */
 SweepRegimeResult measureSweepRegime(SweepRegime regime,
                                      bool host_fast_paths,
@@ -193,43 +173,16 @@ SweepRegimeResult measureSweepRegime(SweepRegime regime,
                                      bool memo = false,
                                      bool with_prescan = false);
 
-/** One kernels A/B measurement: batch kernels + memo vs forced-scalar
- *  kernels without the memo, same regime and page population. */
-struct KernelsAbResult
-{
-    SweepRegimeResult on;  //!< dispatched kernels + decode memo
-    SweepRegimeResult off; //!< forced-scalar kernels, no memo
-    /** off/on host-ns ratio (> 1 means the kernels won). */
-    double hostSpeedup() const
-    {
-        return on.host_ns_per_page > 0
-                   ? off.host_ns_per_page / on.host_ns_per_page
-                   : 0;
-    }
-    /** The determinism contract: identical simulated work. */
-    bool simMatches() const
-    {
-        return on.sim_cycles_per_page == off.sim_cycles_per_page &&
-               on.pages_swept == off.pages_swept &&
-               on.caps_seen == off.caps_seen;
-    }
-};
-
-/**
- * Run the sweep harness twice over @p regime — once with the SIMD
- * batch kernels at their dispatched level plus the decode memo, once
- * forced scalar with the memo off — and report both legs. Both legs
- * run the full pre-scan epoch shape (see measureSweepRegime's
- * @p with_prescan), so the A/B covers the kernels where they run and
- * the memo's cross-epoch build skip, not just the sweep inner loop.
- * Restores the environment-selected kernel level before returning.
- */
-KernelsAbResult measureKernelsAb(SweepRegime regime,
-                                 std::size_t pages = 64,
-                                 std::size_t repeats = 40);
-
 /** Minimal JSON string escaping for bench report writers. */
 std::string jsonEscape(const std::string &s);
+
+/**
+ * What absolute host seconds depend on, as a JSON object: "nproc",
+ * "affinity" (the usable CPU ids), "cpu_model", "compiler" and
+ * "build_type". Timings are comparable only between equal
+ * fingerprints (tools/check_trajectory.py).
+ */
+std::string hostFingerprintJson();
 
 /** All metrics of one cell as a compact MetricsRegistry JSON object
  *  ({"counters": ..., "gauges": ..., "histograms": ...}). */

@@ -268,14 +268,12 @@ main(int argc, char **argv)
     table.print();
 
     // Sweep work per strategy, read back through the MetricsRegistry
-    // export (the same "sweep.*"/"prescan.*" names every bench's JSON
-    // artifact carries): how much page/line/cap scanning each
-    // strategy's phase times above actually paid for, and how much of
-    // it the host pre-scan pipeline served from its snapshots.
+    // export (the same "sweep.*" names every bench's JSON artifact
+    // carries): how much page/line/cap scanning each strategy's phase
+    // times above actually paid for.
     std::printf("\nsweep work per strategy (hmmer_retro):\n");
-    stats::Table work({"strategy", "pages", "lines", "caps_seen",
-                       "revoked", "prescan_pg", "prescan_hit",
-                       "mismatch"});
+    stats::Table work(
+        {"strategy", "pages", "lines", "caps_seen", "revoked"});
     for (core::Strategy s : benchutil::kSafe) {
         trace::MetricsRegistry reg;
         runner.run("hmmer_retro", s).exportTo(reg);
@@ -284,12 +282,7 @@ main(int argc, char **argv)
              std::to_string(reg.counterValue("sweep.pages_swept")),
              std::to_string(reg.counterValue("sweep.lines_read")),
              std::to_string(reg.counterValue("sweep.caps_seen")),
-             std::to_string(reg.counterValue("sweep.caps_revoked")),
-             std::to_string(
-                 reg.counterValue("prescan.pages_prescanned")),
-             std::to_string(
-                 reg.counterValue("prescan.validated_hits")),
-             std::to_string(reg.counterValue("prescan.mismatches"))});
+             std::to_string(reg.counterValue("sweep.caps_revoked"))});
     }
     work.print();
 

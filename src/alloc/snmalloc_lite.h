@@ -135,7 +135,7 @@ class SnmallocLite
     }
 
     /**
-     * Lockstep-engine lane-safe lookup structures (DESIGN.md §14.4):
+     * Lockstep-engine flat lookup structures (DESIGN.md §14.4):
      * a per-page chunk index replacing chunkFor()'s ordered-map probe
      * (chunks are page-granular, non-overlapping, and never erased)
      * and a granule bitmap replacing the live_ hash set (object bases

@@ -1,12 +1,9 @@
 #include "core/machine.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <thread> // hardware_concurrency probe for the lane default
 
-#include "base/host_budget.h"
 #include "base/logging.h"
 #include "core/mutator.h"
 #include "revoker/cheriot_filter.h"
@@ -66,44 +63,17 @@ defaultSweepAccel()
 }
 
 bool
-defaultMemo()
-{
-    const char *env = std::getenv("CREV_MEMO");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-bool
 defaultOracle()
 {
     const char *env = std::getenv("CREV_ORACLE");
     return env != nullptr && std::strcmp(env, "0") != 0;
 }
 
-unsigned
+bool
 defaultParCores()
 {
-    if (const char *env = std::getenv("CREV_PAR_CORES")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        // An explicit operator setting always wins — the host budget
-        // arbiter only clamps the probed default below.
-        if (end != env && *end == '\0' && v <= 64)
-            return static_cast<unsigned>(v);
-        warn("ignoring malformed CREV_PAR_CORES=%s", env);
-    }
-    // lint: threading-ok (host-capacity probe, not a thread)
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    unsigned lanes = std::min(hw, 8u);
-    // Under a parallel bench run the arbiter hands each cell a lane
-    // budget so workers × lanes never oversubscribe the cpuset
-    // (base/host_budget.h); a standalone process has no budget
-    // configured and keeps the probed default.
-    const unsigned cap = base::HostBudget::instance().laneCap();
-    if (cap != 0)
-        lanes = std::min(lanes, cap);
-    return lanes;
+    const char *env = std::getenv("CREV_PAR_CORES");
+    return env == nullptr || std::strcmp(env, "0") != 0;
 }
 
 unsigned
@@ -119,8 +89,31 @@ defaultAllocCores()
     return 1;
 }
 
+std::string
+MachineConfig::validate() const
+{
+    if (cores == 0 || cores > 32)
+        return "MachineConfig::cores must be in [1, 32]";
+    if (alloc_cores == 0 || alloc_cores > cores)
+        return "MachineConfig::alloc_cores must be in [1, cores]";
+    // Baseline spawns no revoker, so only the other strategies place
+    // threads on the mask.
+    const std::uint32_t machine_mask =
+        cores == 32 ? ~0u : (1u << cores) - 1;
+    if (strategy != Strategy::kBaseline &&
+        (revoker_core_mask & ~machine_mask) != 0)
+        return "MachineConfig::revoker_core_mask names a core outside "
+               "the machine";
+    if (strategy == Strategy::kReloaded && background_sweepers == 0)
+        return "MachineConfig::background_sweepers must be >= 1 under "
+               "Reloaded";
+    return "";
+}
+
 Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
 {
+    if (const std::string err = cfg.validate(); !err.empty())
+        throw std::invalid_argument("invalid MachineConfig: " + err);
     if (const std::string err = cfg.faults.validate(); !err.empty())
         throw std::invalid_argument("invalid FaultPlan: " + err);
     if (cfg.trace)
@@ -132,7 +125,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     // there is no cross-core interaction to resolve, so the lockstep
     // machinery would be pure overhead.
     sched_ = std::make_unique<sim::Scheduler>(
-        cfg.cores, cfg.costs, cfg.cores > 1 ? cfg.par_cores : 0);
+        cfg.cores, cfg.costs, cfg.cores > 1 && cfg.par_cores);
     sched_->setTracer(tracer_.get());
     if (cfg.check)
         checker_ = std::make_unique<check::RaceChecker>();
@@ -140,7 +133,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     sched_->setChecker(checker_.get());
     as_ = std::make_unique<vm::AddressSpace>(pm_);
     as_->setChecker(checker_.get());
-    // Lane-safe flat lookup structures ride with the lockstep engine
+    // Flat lookup structures ride with the lockstep engine
     // (DESIGN.md §14.4); the serial reference engine keeps the
     // original map-based code paths untouched.
     const bool lockstep = sched_->lockstep();
@@ -193,7 +186,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
         mmu_->setSafetyOracle(oracle_.get());
     }
 
-    const unsigned alloc_shards = std::max(1u, cfg.alloc_cores);
+    const unsigned alloc_shards = cfg.alloc_cores;
     if (cfg.strategy == Strategy::kBaseline) {
         snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_,
                                                      alloc_shards);
@@ -215,7 +208,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     opts.audit = cfg.audit;
     opts.host_fast_paths = cfg.host_fast_paths;
     opts.sweep_accel = cfg.sweep_accel;
-    opts.memo = cfg.memo;
     opts.injector = injector_.get();
     opts.tracer = tracer_.get();
 
@@ -420,8 +412,6 @@ Machine::metrics() const
     if (revoker_) {
         m.epochs = revoker_->timings();
         m.sweep = revoker_->sweepStats();
-        m.prescan = revoker_->prescanStats();
-        m.memo = revoker_->memoStats();
     }
     m.quarantine = shim_->stats();
     m.allocator = snm_->stats();

@@ -90,18 +90,6 @@ RunMetrics::exportTo(trace::MetricsRegistry &reg) const
     reg.counter("sweep.regs_scanned", sweep.regs_scanned);
     reg.counter("sweep.regs_revoked", sweep.regs_revoked);
 
-    reg.counter("prescan.pages_prescanned", prescan.pages_prescanned);
-    reg.counter("prescan.candidate_caps", prescan.candidate_caps);
-    reg.counter("prescan.validated_hits", prescan.validated_hits);
-    reg.counter("prescan.mismatches", prescan.mismatches);
-
-    reg.counter("memo.page_hits", memo.page_hits);
-    reg.counter("memo.cand_hits", memo.cand_hits);
-    reg.counter("memo.cand_misses", memo.cand_misses);
-    reg.counter("memo.stale_pages", memo.stale_pages);
-    reg.counter("memo.refreshes", memo.refreshes);
-    reg.counter("memo.restamps", memo.restamps);
-
     reg.counter("alloc.allocs", allocator.allocs);
     reg.counter("alloc.frees", allocator.frees);
     reg.counter("alloc.bytes_allocated", allocator.bytes_allocated_total);

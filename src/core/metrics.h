@@ -54,14 +54,6 @@ struct RunMetrics
     /** Revocation epoch timings (empty for baseline). */
     std::vector<revoker::EpochTiming> epochs;
     revoker::SweepStats sweep;
-    /** Host-side pre-scan pipeline counters (not a simulated
-     *  observable: all-zero with sweep acceleration off, and excluded
-     *  from the determinism fingerprint). */
-    revoker::PrescanStats prescan;
-    /** Host-side cross-epoch decode-memo counters (DESIGN.md §17.2):
-     *  like prescan, never a simulated observable — all-zero with the
-     *  memo off and excluded from the determinism fingerprint. */
-    revoker::MemoStats memo;
     alloc::QuarantineStats quarantine;
     alloc::AllocStats allocator;
     /** Per-shard allocator activity ("alloc.shardN.*"); size 1 in the

@@ -64,14 +64,6 @@ PhysMem::frame(Addr pfn) const
     return *lookupFrame(pfn);
 }
 
-const Frame &
-PhysMem::frameUncached(Addr pfn) const
-{
-    auto it = frames_.find(pfn);
-    CREV_ASSERT(it != frames_.end());
-    return *it->second;
-}
-
 void
 PhysMem::read(Addr paddr, void *out, std::size_t len) const
 {

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "base/logging.h"
-#include "base/simd.h"
 #include "base/types.h"
 #include "cap/compression.h"
 
@@ -62,20 +61,26 @@ class TagWords
         w_[g >> 6] &= ~(std::uint64_t{1} << (g & 63));
     }
 
-    bool any() const { return simd::anySet(w_.data(), kWords); }
+    bool
+    any() const
+    {
+        for (std::uint64_t w : w_)
+            if (w != 0)
+                return true;
+        return false;
+    }
 
     std::size_t
     count() const
     {
-        return static_cast<std::size_t>(
-            simd::popcountWords(w_.data(), kWords));
+        std::size_t c = 0;
+        for (std::uint64_t w : w_)
+            c += static_cast<std::size_t>(std::popcount(w));
+        return c;
     }
 
     /** Raw word @p k (64 granule bits), for ctz-driven scans. */
     std::uint64_t word(std::size_t k) const { return w_[k]; }
-
-    /** All packed words, for the batch kernels (base/simd.h). */
-    const std::uint64_t *words() const { return w_.data(); }
 
     /** The 4 tag bits of intra-page cache line @p line. */
     unsigned
@@ -189,15 +194,6 @@ class PhysMem
     Frame &frame(Addr pfn);
     const Frame &frame(Addr pfn) const;
 
-    /**
-     * Cache-free frame lookup for concurrent host readers (the
-     * pre-scan workers). frame() mutates the one-entry frame cache
-     * even through the const overload, so it must never be called
-     * from more than one host thread at a time; this accessor touches
-     * no shared mutable state.
-     */
-    const Frame &frameUncached(Addr pfn) const;
-
     /** Read @p len bytes at physical address @p paddr (intra-page). */
     void read(Addr paddr, void *out, std::size_t len) const;
 
@@ -227,7 +223,7 @@ class PhysMem
     bool loadCap(Addr paddr, cap::CapBits &bits) const;
 
     /**
-     * Lockstep-engine lane-safe lookup (DESIGN.md §14.4): route frame
+     * Lockstep-engine flat lookup (DESIGN.md §14.4): route frame
      * lookups through the dense pfn-indexed pointer vector instead of
      * the hash table + one-entry mutable cache. Pfns are dense from 1
      * and frames are never erased, so the vector is an exact mirror;

@@ -59,7 +59,6 @@ CheriotFilterRevoker::doEpoch(sim::SimThread &self)
     const std::vector<Addr> pages =
         collectPages(as.capEverPages(),
                      [](const vm::Pte &p) { return p.cap_ever; });
-    prescanPages(pages);
     sim::SimMutex &pmap = as.pmapLock();
     for (Addr va : pages) {
         pmap.lock(self);
@@ -81,7 +80,6 @@ CheriotFilterRevoker::doEpoch(sim::SimThread &self)
         }
         pmap.unlock(self);
     }
-    prescanDone();
     tracePhaseEnd(self, trace::Phase::kConcurrentSweep);
     timing.concurrent_duration = self.now() - cbegin;
 

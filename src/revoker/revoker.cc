@@ -14,8 +14,6 @@ Revoker::Revoker(sim::Scheduler &sched, vm::Mmu &mmu,
     : sched_(sched), mmu_(mmu), kernel_(kernel), bitmap_(bitmap),
       opts_(opts), sweep_(mmu, bitmap, opts.host_fast_paths)
 {
-    if (opts_.memo && opts_.host_fast_paths)
-        sweep_.setMemo(&memo_);
 }
 
 void
@@ -116,35 +114,6 @@ Revoker::collectPages(const std::set<Addr> &index,
         });
     }
     return pages;
-}
-
-void
-Revoker::prescanPages(const std::vector<Addr> &pages)
-{
-    if (!sweepAccel() || pages.empty())
-        return;
-    sim::LaneGroup *lanes = nullptr;
-    if (sched_.lockstep()) {
-        if (sched_.laneCount() < 2) {
-            // Single-lane lockstep: there is no spare host lane to
-            // overlap the speculative snapshot with, so it would only
-            // serialize in front of the sweep. Skip it — the sweep
-            // decodes live, and RunMetrics are identical with the
-            // pipeline on or off (its design invariant).
-            return;
-        }
-        lanes = sched_.lanes();
-    }
-    prescan_.build(mmu_.addressSpace(), bitmap_.painted(), pages,
-                   lanes, sweep_.memo(), mmu_.frameEpoch());
-    sweep_.setPrescan(&prescan_);
-}
-
-void
-Revoker::prescanDone()
-{
-    sweep_.setPrescan(nullptr);
-    prescan_.clear();
 }
 
 void

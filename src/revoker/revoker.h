@@ -33,7 +33,6 @@
 #include "base/types.h"
 #include "kern/kernel.h"
 #include "revoker/bitmap.h"
-#include "revoker/prescan.h"
 #include "revoker/sweep.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
@@ -89,11 +88,8 @@ struct RevokerOptions
     /** Host-side sweep fast paths (see MachineConfig::host_fast_paths). */
     bool host_fast_paths = true;
     /** Hierarchical sweep acceleration (MachineConfig::sweep_accel):
-     *  index-driven page selection + speculative pre-scan. */
+     *  index-driven page selection. */
     bool sweep_accel = true;
-    /** Cross-epoch decode memoisation (MachineConfig::memo); only
-     *  effective together with host_fast_paths. */
-    bool memo = true;
     /** Fault injector for chaos campaigns (null: no injection). */
     sim::FaultInjector *injector = nullptr;
     /** Event tracer (null: tracing off; zero simulated cost). */
@@ -132,15 +128,6 @@ class Revoker
 
     /** Aggregate sweep work. */
     const SweepStats &sweepStats() const { return sweep_.stats(); }
-
-    /** Host-side pre-scan pipeline counters. */
-    const PrescanStats &prescanStats() const
-    {
-        return prescan_.stats();
-    }
-
-    /** Host-side cross-epoch decode-memo counters. */
-    const MemoStats &memoStats() const { return memo_.stats(); }
 
     std::uint64_t epochsCompleted() const { return epochs_; }
 
@@ -258,9 +245,8 @@ class Revoker
     void commitOracle(sim::SimThread &self);
 
     /**
-     * Whether index-driven page selection and the pre-scan pipeline
-     * are active (both host levers must be on; either way the
-     * simulated results are identical).
+     * Whether index-driven page selection is active (both host levers
+     * must be on; either way the simulated results are identical).
      */
     bool sweepAccel() const
     {
@@ -277,16 +263,6 @@ class Revoker
     std::vector<Addr>
     collectPages(const std::set<Addr> &index,
                  const std::function<bool(const vm::Pte &)> &want);
-
-    /**
-     * Speculatively pre-scan @p pages ahead of the sweep cursor and
-     * attach the pipeline to the sweep engine. No-op without sweep
-     * acceleration.
-     */
-    void prescanPages(const std::vector<Addr> &pages);
-
-    /** Detach and drop the pre-scan pipeline (end of sweep pass). */
-    void prescanDone();
 
     /**
      * Enter stop-the-world, applying any injected entry delay (lost
@@ -317,8 +293,6 @@ class Revoker
     RevocationBitmap &bitmap_;
     RevokerOptions opts_;
     SweepEngine sweep_;
-    PrescanPipeline prescan_;
-    DecodeMemo memo_;
     std::vector<EpochTiming> timings_;
 
   private:

@@ -5,9 +5,21 @@
 #include <cstdio>
 
 #include "base/logging.h"
-#include "base/simd.h"
 
 namespace crev::revoker {
+
+namespace {
+
+std::uint64_t
+popcountWords(const std::uint64_t *w, std::size_t n)
+{
+    std::uint64_t c = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        c += static_cast<std::uint64_t>(std::popcount(w[i]));
+    return c;
+}
+
+} // namespace
 
 ShadowSummary::ShadowSummary()
     : l1_(kBlocks / 64, 0), block_counts_(kBlocks, 0), blocks_(kBlocks)
@@ -39,9 +51,9 @@ ShadowSummary::setGranules(Addr g_from, Addr g_to, bool value)
         }
 
         // Per-block population delta: the partial edge words keep the
-        // masked RMW, the interior full words go through the batch
-        // popcount/fill kernels (base/simd.h) — the span-paint fast
-        // path for large quarantine paints and clears.
+        // masked RMW, the interior full words are counted and filled
+        // whole — the span-paint fast path for large quarantine paints
+        // and clears.
         std::int64_t delta = 0;
         auto rmw = [&](Addr from, Addr to) {
             const Addr word_base = from & ~Addr{63};
@@ -69,12 +81,11 @@ ShadowSummary::setGranules(Addr g_from, Addr g_to, bool value)
             static_cast<std::size_t>((block_end - i) / 64);
         if (nfull != 0) {
             std::uint64_t *w0 = &blk[(i / 64) % kWordsPerBlock];
-            const std::uint64_t pop = simd::popcountWords(w0, nfull);
+            const std::uint64_t pop = popcountWords(w0, nfull);
             delta += value ? static_cast<std::int64_t>(64 * nfull) -
                                  static_cast<std::int64_t>(pop)
                            : -static_cast<std::int64_t>(pop);
-            simd::fillWords(w0, nfull,
-                            value ? ~std::uint64_t{0} : 0);
+            std::fill(w0, w0 + nfull, value ? ~std::uint64_t{0} : 0);
             i += static_cast<Addr>(nfull) * 64;
         }
         if (i < block_end) {
@@ -110,8 +121,8 @@ ShadowSummary::checkConsistent() const
     std::vector<std::string> out;
     std::uint64_t total = 0;
     for (std::size_t b = 0; b < kBlocks; ++b) {
-        const std::uint64_t cnt = simd::popcountWords(
-            blocks_[b].data(), blocks_[b].size());
+        const std::uint64_t cnt =
+            popcountWords(blocks_[b].data(), blocks_[b].size());
         total += cnt;
         if (cnt != block_counts_[b]) {
             char buf[96];
@@ -190,8 +201,8 @@ ShadowSummary::inconsistentBlocks() const
 {
     std::vector<std::size_t> out;
     for (std::size_t b = 0; b < kBlocks; ++b) {
-        const std::uint64_t cnt = simd::popcountWords(
-            blocks_[b].data(), blocks_[b].size());
+        const std::uint64_t cnt =
+            popcountWords(blocks_[b].data(), blocks_[b].size());
         const bool l1 = ((l1_[b >> 6] >> (b & 63)) & 1) != 0;
         if (cnt != block_counts_[b] || l1 != (cnt != 0))
             out.push_back(b);
@@ -217,8 +228,7 @@ ShadowSummary::rebuildBlock(std::size_t b,
         }
         blk[w] = word;
     }
-    const std::uint64_t pop =
-        simd::popcountWords(blk.data(), kWordsPerBlock);
+    const std::uint64_t pop = popcountWords(blk.data(), kWordsPerBlock);
     count_ = count_ - block_counts_[b] + pop;
     block_counts_[b] = static_cast<std::uint32_t>(pop);
     if (pop != 0)

@@ -20,15 +20,13 @@
  *    conservative virtual-time generation: virtual time advances in
  *    preemption-quantum frontiers, cross-core wakes travel through
  *    per-core mailboxes drained in fixed (core-id, thread-id) order at
- *    resolution points, and a persistent LaneGroup of host workers
- *    runs deterministic striped assist (the sweep pre-scan) alongside
- *    the committing slice. Because the simulated machine's shared
- *    state (allocator, page tables, caches) is visible with zero
- *    latency, the sound conservative lookahead is zero: the committing
- *    slice is granted in exact policy order, and the engine's host
- *    speedup comes from its lane-safe flat lookup structures and the
- *    lane pool, not from speculating on virtual time. RunMetrics are
- *    bit-identical between the engines (tests/determinism_test.cpp).
+ *    resolution points. Because the simulated machine's shared state
+ *    (allocator, page tables, caches) is visible with zero latency,
+ *    the sound conservative lookahead is zero: the committing slice is
+ *    granted in exact policy order, and the engine's host speedup
+ *    comes from fibers and its flat lookup structures, not from
+ *    speculating on virtual time. RunMetrics are bit-identical between
+ *    the engines (tests/determinism_test.cpp).
  *
  * The scheduler also provides the stop-the-world service used by the
  * revokers: parked threads' clocks are advanced to the STW end time,
@@ -91,7 +89,6 @@ class RaceChecker;
 namespace crev::sim {
 
 class Scheduler;
-class LaneGroup;
 
 namespace detail {
 /** makecontext entry thunk for fiber mode (internal). */
@@ -245,13 +242,11 @@ class Scheduler
 {
   public:
     /**
-     * @p lanes selects the engine: 0 = serial token engine (the
-     * reference); >= 1 = lockstep engine with that many host lanes
-     * (lane 0 is the committing slice's own host thread; lanes beyond
-     * the first become LaneGroup workers).
+     * @p lockstep selects the engine: false = serial token engine (the
+     * reference); true = lockstep engine.
      */
     Scheduler(unsigned num_cores, const CostModel &cm,
-              unsigned lanes = 0);
+              bool lockstep = false);
     ~Scheduler();
 
     Scheduler(const Scheduler &) = delete;
@@ -327,7 +322,7 @@ class Scheduler
     unsigned numCores() const { return num_cores_; }
 
     /** Whether the lockstep engine is driving this scheduler. */
-    bool lockstep() const { return lanes_ > 0; }
+    bool lockstep() const { return lockstep_; }
     /**
      * Whether simulated threads run as fibers on the driving host
      * thread (lockstep engine only; see the CREV_SCHED_FIBERS comment
@@ -335,10 +330,6 @@ class Scheduler
      * and RunMetrics are identical with fibers on or off.
      */
     bool fibers() const { return fibers_; }
-    /** Host lanes of the lockstep engine (0 = serial token engine). */
-    unsigned laneCount() const { return lanes_; }
-    /** The lane pool, or null when serial / single-lane. */
-    LaneGroup *lanes() { return lane_group_.get(); }
 
     /**
      * The current quantum frontier: the quantum-aligned floor of the
@@ -439,7 +430,7 @@ class Scheduler
 
     const unsigned num_cores_;
     const CostModel cm_;
-    const unsigned lanes_;
+    const bool lockstep_;
     const bool fibers_;
 #if CREV_SCHED_FIBERS
     /** The run() driver's context, resumed when no fiber is runnable. */
@@ -478,7 +469,6 @@ class Scheduler
     std::size_t pending_wakes_ = 0;
 
     std::unique_ptr<Engine> engine_;
-    std::unique_ptr<LaneGroup> lane_group_;
 };
 
 } // namespace crev::sim

@@ -19,7 +19,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.h"
@@ -169,7 +168,6 @@ class AddressSpace
     {
         cap_ever_pages_.insert(page_va);
         cap_dirty_pages_.insert(page_va);
-        bumpStoreGen(page_va);
     }
     /**
      * Index hook for the publishPage choke point: cap_dirty was just
@@ -180,23 +178,7 @@ class AddressSpace
         cap_dirty_pages_.erase(page_va);
         if (ever_cleared)
             cap_ever_pages_.erase(page_va);
-        bumpStoreGen(page_va);
     }
-
-    /**
-     * Host-side per-page store-generation counter (the decode memo's
-     * freshness heuristic, DESIGN.md §17.2). Bumped at the capability
-     * store and publish choke points above and at TLB shootdown; pages
-     * whose counter is unchanged since their memo entry was recorded
-     * may skip re-scanning. Never consulted for correctness: memoised
-     * decodes are validated against live CapBits at use.
-     */
-    std::uint64_t storeGen(Addr page_va) const
-    {
-        const auto it = store_gen_.find(page_va);
-        return it == store_gen_.end() ? 0 : it->second;
-    }
-    void bumpStoreGen(Addr page_va) { ++store_gen_[page_va]; }
 
     /** The pmap lock serialising PTE updates during revocation. */
     sim::SimMutex &pmapLock() { return pmap_lock_; }
@@ -233,7 +215,7 @@ class AddressSpace
     std::uint64_t pageTableEpoch() const { return pt_epoch_; }
 
     /**
-     * Lockstep-engine lane-safe flat page-table windows (DESIGN.md
+     * Lockstep-engine flat page-table windows (DESIGN.md
      * §14.4): direct-indexed Pte-pointer mirrors of pages_ for the
      * heap and shadow regions, plus a guard-page byte mirror for the
      * heap, so classify()/findPte()/pte() resolve without ordered-map
@@ -259,8 +241,6 @@ class AddressSpace
     std::set<Addr> cap_dirty_pages_; //!< superset: cap_dirty pages
     std::vector<Reservation *> newly_quarantined_;
     std::vector<Addr> freed_frames_;
-    /** Per-page store generations (looked up, never iterated). */
-    std::unordered_map<Addr, std::uint64_t> store_gen_;
     bool fast_index_ = false;
     std::vector<Pte *> heap_pte_;   //!< heap-window mirror of pages_
     std::vector<Pte *> shadow_pte_; //!< shadow-window mirror

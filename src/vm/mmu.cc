@@ -59,10 +59,6 @@ Mmu::shootdownPage(sim::SimThread &t, Addr va)
     // Shootdowns follow in-place PTE rewrites (self-heals, trap-bit
     // arming): the one-entry cache may hold the page being rewritten.
     invalidatePteCache();
-    // The PTE disposition just changed; memoised decode state for the
-    // page is no longer page-fresh (publishPage restamps afterwards
-    // for its own shootdowns — DESIGN.md §17.2).
-    as_.bumpStoreGen(page);
     ++stats_.tlb_shootdowns;
     if (tracer_ != nullptr)
         tracer_->record(t.id(), t.core(), t.now(),
@@ -131,16 +127,8 @@ void
 Mmu::purgeFreedFrames()
 {
     invalidatePteCache();
-    bool any = false;
-    for (Addr pfn : as_.takeFreedFrames()) {
+    for (Addr pfn : as_.takeFreedFrames())
         ms_.invalidateFrame(pfn);
-        any = true;
-    }
-    // Freed frames can be re-paired with any VA: advance the frame
-    // epoch so every memoised decode recorded against the old pairing
-    // is page-stale (conservative global invalidation).
-    if (any)
-        ++frame_epoch_;
 }
 
 Addr

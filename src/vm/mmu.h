@@ -158,7 +158,7 @@ class Mmu
     /**
      * Route every core's TLB through the open-addressed backing and
      * the MMU's memory dispatch through PhysMem's inline dense
-     * variants (the lockstep engine's lane-safe structures, DESIGN.md
+     * variants (the lockstep engine's flat structures, DESIGN.md
      * §14.4). TLB entry sets, hit/miss sequences, and every memory
      * observable are identical either way.
      */
@@ -225,14 +225,6 @@ class Mmu
     /** Drop freed frames from all caches (frame reuse hygiene). */
     void purgeFreedFrames();
 
-    /**
-     * Monotone counter bumped whenever purgeFreedFrames() retires
-     * frames: a (page, pfn) pairing observed before the bump may have
-     * been recycled, so memoised decode state keyed on it is stale
-     * (host-side freshness only; see AddressSpace::storeGen).
-     */
-    std::uint64_t frameEpoch() const { return frame_epoch_; }
-
     const MmuStats &stats() const { return stats_; }
     AddressSpace &addressSpace() { return as_; }
     mem::PhysMem &physMem() { return pm_; }
@@ -293,7 +285,6 @@ class Mmu
     Addr cached_vpn_ = 0;
     Pte *cached_pte_ = nullptr;
     std::uint64_t cached_pt_epoch_ = 0;
-    std::uint64_t frame_epoch_ = 0;
 
     trace::Tracer *tracer_ = nullptr;
 };

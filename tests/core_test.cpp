@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -250,6 +252,71 @@ TEST(MultiThreaded, RevokerQuantumScaleIsApplied)
     });
     m.run();
     EXPECT_GT(m.metrics().epochs.size(), 0u);
+}
+
+// ---------------------------------------------------------------- //
+// MachineConfig validation
+// ---------------------------------------------------------------- //
+
+/** The Machine rejects @p cfg with a message naming @p field. */
+void
+expectRejected(const MachineConfig &cfg, const std::string &field)
+{
+    EXPECT_NE(cfg.validate().find(field), std::string::npos)
+        << cfg.validate();
+    try {
+        Machine m(cfg);
+        ADD_FAILURE() << "Machine accepted a config with bad " << field;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(MachineConfigValidation, DefaultConfigIsValid)
+{
+    EXPECT_EQ(MachineConfig{}.validate(), "");
+}
+
+TEST(MachineConfigValidation, CoreCountOutOfRangeIsRejected)
+{
+    MachineConfig cfg;
+    cfg.cores = 0;
+    expectRejected(cfg, "cores");
+    cfg.cores = 33;
+    expectRejected(cfg, "cores");
+}
+
+TEST(MachineConfigValidation, AllocCoresOutOfRangeIsRejected)
+{
+    MachineConfig cfg;
+    cfg.alloc_cores = 0;
+    expectRejected(cfg, "alloc_cores");
+    cfg.alloc_cores = cfg.cores + 1;
+    expectRejected(cfg, "alloc_cores");
+}
+
+TEST(MachineConfigValidation, RevokerMaskOutsideMachineIsRejected)
+{
+    // The default mask pins the revoker to core 2, which a two-core
+    // machine does not have.
+    MachineConfig cfg;
+    cfg.cores = 2;
+    cfg.alloc_cores = 1;
+    expectRejected(cfg, "revoker_core_mask");
+    // Baseline spawns no revoker, so the mask is not consulted.
+    cfg.strategy = Strategy::kBaseline;
+    EXPECT_EQ(cfg.validate(), "");
+}
+
+TEST(MachineConfigValidation, ZeroBackgroundSweepersUnderReloadedIsRejected)
+{
+    MachineConfig cfg;
+    cfg.strategy = Strategy::kReloaded;
+    cfg.background_sweepers = 0;
+    expectRejected(cfg, "background_sweepers");
+    cfg.strategy = Strategy::kCornucopia;
+    EXPECT_EQ(cfg.validate(), "");
 }
 
 } // namespace

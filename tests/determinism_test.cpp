@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "base/simd.h"
 #include "core/machine.h"
 #include "core/mutator.h"
 #include "workload/spec.h"
@@ -129,12 +128,10 @@ fingerprint(const RunMetrics &m)
            << " lat=" << p.total_latency << "/" << p.max_latency
            << "\n";
     }
-    // Deliberately excluded: m.prescan and m.memo (host-side pipeline
-    // and memo counters, zero with sweep_accel / memo off) and
-    // m.oracle_* (observer totals that count only when the oracle is
-    // attached). Everything above is a simulated observable and must
-    // be bit-identical across host-side and observer configuration
-    // changes.
+    // Deliberately excluded: m.oracle_* (observer totals that count
+    // only when the oracle is attached). Everything above is a
+    // simulated observable and must be bit-identical across host-side
+    // and observer configuration changes.
     return os.str();
 }
 
@@ -151,13 +148,13 @@ runSpecWith(Strategy s, bool host_fast_paths)
 }
 
 RunMetrics
-runSpecEngine(Strategy s, unsigned par_cores, bool trace = false,
+runSpecEngine(Strategy s, bool lockstep, bool trace = false,
               bool check = false)
 {
     MachineConfig cfg;
     cfg.strategy = s;
     cfg.policy = workload::specPolicy();
-    cfg.par_cores = par_cores;
+    cfg.par_cores = lockstep;
     cfg.trace = trace;
     cfg.check = check;
     Machine m(cfg);
@@ -178,8 +175,7 @@ TEST(Determinism, FastPathsPreserveSpecMetricsAllStrategies)
 }
 
 /** The sweep-acceleration layers (two-level summary skips, the
- *  capability-dirty page indexes, the pre-scan pipeline) are pure
- *  host-side levers too: RunMetrics must be bit-identical with
+ *  capability-dirty page indexes) are pure host-side levers too: RunMetrics must be bit-identical with
  *  cfg.sweep_accel on and off, for every strategy. Set explicitly so
  *  the test is independent of CREV_SWEEP_ACCEL in the environment. */
 TEST(Determinism, SweepAccelPreservesSpecMetricsAllStrategies)
@@ -197,69 +193,6 @@ TEST(Determinism, SweepAccelPreservesSpecMetricsAllStrategies)
         }
         EXPECT_EQ(fp[1], fp[0])
             << "strategy " << core::strategyName(s);
-    }
-}
-
-/** The cross-epoch decode memo (DESIGN.md §17.2) is a pure host-side
- *  cache: cached decodes are bits-validated at the virtual instant of
- *  use and all charges accrue identically, so RunMetrics must be
- *  bit-identical with cfg.memo on and off — for every strategy, under
- *  both the serial token engine and the lockstep engine. */
-TEST(Determinism, MemoPreservesSpecMetricsAllStrategies)
-{
-    for (Strategy s : core::kAllStrategies) {
-        for (unsigned par_cores : {0u, 4u}) {
-            std::string fp[2];
-            for (int memo = 0; memo < 2; ++memo) {
-                MachineConfig cfg;
-                cfg.strategy = s;
-                cfg.policy = workload::specPolicy();
-                cfg.par_cores = par_cores;
-                cfg.memo = memo != 0;
-                Machine m(cfg);
-                workload::runSpec(m,
-                                  workload::specProfile("hmmer_retro"));
-                fp[memo] = fingerprint(m.metrics());
-            }
-            EXPECT_EQ(fp[1], fp[0])
-                << "strategy " << core::strategyName(s)
-                << " par_cores " << par_cores;
-        }
-    }
-}
-
-/** The SIMD kernel level (DESIGN.md §17.1) is a pure host dispatch
- *  concern: CREV_SIMD=0 forces the scalar fallbacks everywhere (the
- *  sweep's candidate validation, the pre-scan's expansion/gather, the
- *  shadow bitmap's span paints), and RunMetrics must not move — for
- *  every strategy, serial and lockstep. This is the in-process twin
- *  of CI's forced-scalar bench leg. */
-TEST(Determinism, ScalarKernelsPreserveSpecMetricsAllStrategies)
-{
-    for (Strategy s : core::kAllStrategies) {
-        for (unsigned par_cores : {0u, 4u}) {
-            std::string fp[2];
-            for (int scalar = 0; scalar < 2; ++scalar) {
-                if (scalar != 0)
-                    setenv("CREV_SIMD", "0", 1);
-                else
-                    unsetenv("CREV_SIMD");
-                simd::refreshFromEnv();
-                MachineConfig cfg;
-                cfg.strategy = s;
-                cfg.policy = workload::specPolicy();
-                cfg.par_cores = par_cores;
-                Machine m(cfg);
-                workload::runSpec(m,
-                                  workload::specProfile("hmmer_retro"));
-                fp[scalar] = fingerprint(m.metrics());
-            }
-            unsetenv("CREV_SIMD");
-            simd::refreshFromEnv();
-            EXPECT_EQ(fp[1], fp[0])
-                << "strategy " << core::strategyName(s)
-                << " par_cores " << par_cores;
-        }
     }
 }
 
@@ -291,8 +224,7 @@ TEST(Determinism, TracingPreservesSpecMetricsAllStrategies)
 /** The temporal-safety oracle is an off-clock observer like the
  *  tracer: every simulated observable must be bit-identical with the
  *  oracle on or off, for every strategy. (Its own totals — loads
- *  checked, violations — are excluded from the fingerprint, exactly
- *  like the host-side prescan counters.) */
+ *  checked, violations — are excluded from the fingerprint.) */
 TEST(Determinism, OraclePreservesSpecMetricsAllStrategies)
 {
     for (Strategy s : core::kAllStrategies) {
@@ -319,19 +251,14 @@ TEST(Determinism, OraclePreservesSpecMetricsAllStrategies)
 
 /** The lockstep engine (DESIGN.md §14) is a pure host-side execution
  *  lever like host_fast_paths: every simulated observable must be
- *  bit-identical between the serial token engine (par_cores = 0, the
- *  reference) and the lockstep engine at any lane count. Lanes = 1
- *  exercises the single-lane pre-scan skip; lanes = 4 the LaneGroup
- *  striped assist. */
+ *  bit-identical between the serial token engine (the reference) and
+ *  the lockstep engine. */
 TEST(Determinism, LockstepEnginePreservesSpecMetricsAllStrategies)
 {
-    for (Strategy s : core::kAllStrategies) {
-        const std::string serial = fingerprint(runSpecEngine(s, 0));
-        for (unsigned lanes : {1u, 4u})
-            EXPECT_EQ(fingerprint(runSpecEngine(s, lanes)), serial)
-                << "strategy " << core::strategyName(s) << " lanes "
-                << lanes;
-    }
+    for (Strategy s : core::kAllStrategies)
+        EXPECT_EQ(fingerprint(runSpecEngine(s, true)),
+                  fingerprint(runSpecEngine(s, false)))
+            << "strategy " << core::strategyName(s);
 }
 
 /** Observers (tracer + race checker) attached under the lockstep
@@ -342,9 +269,9 @@ TEST(Determinism, LockstepEngineWithObserversMatchesBareSerial)
 {
     for (Strategy s : {Strategy::kCornucopia, Strategy::kReloaded}) {
         const std::string bare_serial =
-            fingerprint(runSpecEngine(s, 0, false, false));
+            fingerprint(runSpecEngine(s, false, false, false));
         const std::string observed_lockstep =
-            fingerprint(runSpecEngine(s, 2, true, true));
+            fingerprint(runSpecEngine(s, true, true, true));
         EXPECT_EQ(observed_lockstep, bare_serial)
             << "strategy " << core::strategyName(s);
     }
@@ -359,10 +286,10 @@ TEST(Determinism, LockstepEngineWithObserversMatchesBareSerial)
 TEST(Determinism, FiberModePreservesSpecMetrics)
 {
     const std::string with_fibers =
-        fingerprint(runSpecEngine(Strategy::kReloaded, 1));
+        fingerprint(runSpecEngine(Strategy::kReloaded, true));
     setenv("CREV_FIBERS", "0", 1);
     const std::string host_threads =
-        fingerprint(runSpecEngine(Strategy::kReloaded, 1));
+        fingerprint(runSpecEngine(Strategy::kReloaded, true));
     unsetenv("CREV_FIBERS");
     EXPECT_EQ(host_threads, with_fibers);
 }
@@ -415,7 +342,7 @@ churn(Machine &m, Mutator &ctx, int iters)
 RunMetrics
 runChaosWith(Strategy s, bool host_fast_paths,
              bool sweep_accel = true, bool oracle = false,
-             int par_cores = -1, bool memo = true)
+             bool lockstep = core::defaultParCores())
 {
     MachineConfig cfg;
     cfg.strategy = s;
@@ -423,9 +350,7 @@ runChaosWith(Strategy s, bool host_fast_paths,
     cfg.host_fast_paths = host_fast_paths;
     cfg.sweep_accel = sweep_accel;
     cfg.oracle = oracle;
-    cfg.memo = memo;
-    if (par_cores >= 0)
-        cfg.par_cores = static_cast<unsigned>(par_cores);
+    cfg.par_cores = lockstep;
     cfg.policy.min_bytes = 32 * 1024; // revoke frequently
     cfg.background_sweepers = 2;
     cfg.seed = 42;
@@ -473,26 +398,6 @@ TEST(Determinism, FastPathsPreserveChaosMetricsAllStrategies)
     }
 }
 
-/** Chaos campaign with the memo and the dispatched kernels both
- *  toggled at once (the two new host levers of DESIGN.md §17): fault
- *  injection, recovery ladders, and the per-epoch audit must see the
- *  exact same virtual history either way. */
-TEST(Determinism, MemoAndKernelsPreserveChaosMetricsAllStrategies)
-{
-    for (Strategy s : core::kAllStrategies) {
-        const std::string dispatched =
-            fingerprint(runChaosWith(s, true));
-        setenv("CREV_SIMD", "0", 1);
-        simd::refreshFromEnv();
-        const std::string scalar_no_memo = fingerprint(
-            runChaosWith(s, true, true, false, -1, /*memo=*/false));
-        unsetenv("CREV_SIMD");
-        simd::refreshFromEnv();
-        EXPECT_EQ(scalar_no_memo, dispatched)
-            << "strategy " << core::strategyName(s);
-    }
-}
-
 TEST(Determinism, SweepAccelPreservesChaosMetricsAllStrategies)
 {
     // Same chaos campaign, toggling only the sweep-acceleration
@@ -516,9 +421,9 @@ TEST(Determinism, LockstepEnginePreservesChaosMetricsAllStrategies)
     // scheduling point may move between the engines.
     for (Strategy s : core::kAllStrategies) {
         const std::string serial =
-            fingerprint(runChaosWith(s, true, true, false, 0));
+            fingerprint(runChaosWith(s, true, true, false, false));
         const std::string lockstep =
-            fingerprint(runChaosWith(s, true, true, false, 2));
+            fingerprint(runChaosWith(s, true, true, false, true));
         EXPECT_EQ(lockstep, serial)
             << "strategy " << core::strategyName(s);
     }
@@ -566,15 +471,14 @@ crossCoreChurn(Machine &m, int iters)
 }
 
 RunMetrics
-runCrossCore(Strategy s, unsigned alloc_cores, unsigned par_cores,
-             bool chaos)
+runCrossCore(Strategy s, unsigned alloc_cores, bool lockstep, bool chaos)
 {
     MachineConfig cfg;
     cfg.strategy = s;
     cfg.policy = workload::specPolicy();
     cfg.policy.min_bytes = 32 * 1024;
     cfg.alloc_cores = alloc_cores;
-    cfg.par_cores = par_cores;
+    cfg.par_cores = lockstep;
     cfg.seed = 7;
     if (chaos) {
         cfg.audit = true;
@@ -607,10 +511,10 @@ TEST(Determinism, AllocShardingPreservesSpecMetricsAcrossEngines)
 {
     for (Strategy s : core::kAllStrategies) {
         for (unsigned ac : {1u, 2u, 4u}) {
-            const RunMetrics serial_m = runCrossCore(s, ac, 0, false);
+            const RunMetrics serial_m = runCrossCore(s, ac, false, false);
             const std::string serial = fingerprint(serial_m);
             const std::string lockstep =
-                fingerprint(runCrossCore(s, ac, 2, false));
+                fingerprint(runCrossCore(s, ac, true, false));
             EXPECT_EQ(lockstep, serial)
                 << "strategy " << core::strategyName(s)
                 << " alloc_cores " << ac;
@@ -634,9 +538,9 @@ TEST(Determinism, AllocShardingPreservesChaosMetricsAcrossEngines)
     for (Strategy s : core::kAllStrategies) {
         for (unsigned ac : {1u, 2u, 4u}) {
             const std::string serial =
-                fingerprint(runCrossCore(s, ac, 0, true));
+                fingerprint(runCrossCore(s, ac, false, true));
             const std::string lockstep =
-                fingerprint(runCrossCore(s, ac, 2, true));
+                fingerprint(runCrossCore(s, ac, true, true));
             EXPECT_EQ(lockstep, serial)
                 << "strategy " << core::strategyName(s)
                 << " alloc_cores " << ac;

@@ -337,12 +337,12 @@ TEST(Scheduler, RegisterFileIsPerThread)
 
 // --- Lockstep-engine edge cases (DESIGN.md §14) ---
 //
-// Each scenario below runs once under the serial token engine
-// (lanes = 0, the reference) and once under the lockstep engine
-// (lanes = 1) and must produce an identical event trace. The
-// scenarios are chosen to land exactly on the places the two engines
-// could diverge if frontier resolution were off by one: events on a
-// quantum boundary, windows straddling one, and shutdown mid-quantum.
+// Each scenario below runs once under the serial token engine (the
+// reference) and once under the lockstep engine and must produce an
+// identical event trace. The scenarios are chosen to land exactly on
+// the places the two engines could diverge if frontier resolution were
+// off by one: events on a quantum boundary, windows straddling one,
+// and shutdown mid-quantum.
 
 using EventTrace = std::vector<std::pair<std::string, Cycles>>;
 
@@ -351,9 +351,9 @@ TEST(Lockstep, WakeExactlyOnQuantumBoundaryMatchesSerial)
     // The waker's clock lands exactly on the quantum frontier when it
     // posts the wake: the mailbox resolution must neither delay the
     // wake into the next quantum nor deliver it early.
-    auto run_with = [](unsigned lanes) {
-        Scheduler s(2, testCosts(), lanes);
-        EXPECT_EQ(s.lockstep(), lanes > 0);
+    auto run_with = [](bool lockstep) {
+        Scheduler s(2, testCosts(), lockstep);
+        EXPECT_EQ(s.lockstep(), lockstep);
         EventTrace ev;
         bool ready = false;
         SimThread *waiter =
@@ -371,9 +371,9 @@ TEST(Lockstep, WakeExactlyOnQuantumBoundaryMatchesSerial)
         s.run();
         return ev;
     };
-    const EventTrace serial = run_with(0);
+    const EventTrace serial = run_with(false);
     EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(run_with(1), serial);
+    EXPECT_EQ(run_with(true), serial);
 }
 
 TEST(Lockstep, StwStraddlingQuantumBoundaryMatchesSerial)
@@ -381,8 +381,8 @@ TEST(Lockstep, StwStraddlingQuantumBoundaryMatchesSerial)
     // The STW window opens inside one quantum and closes inside the
     // next; parked mutators must resume at the same virtual time under
     // both engines even though the window crosses a frontier.
-    auto run_with = [](unsigned lanes) {
-        Scheduler s(2, testCosts(), lanes);
+    auto run_with = [](bool lockstep) {
+        Scheduler s(2, testCosts(), lockstep);
         EventTrace ev;
         bool stw_done = false;
         s.spawn("mutator", 1u << 0, [&](SimThread &t) {
@@ -402,9 +402,9 @@ TEST(Lockstep, StwStraddlingQuantumBoundaryMatchesSerial)
         s.run();
         return ev;
     };
-    const EventTrace serial = run_with(0);
+    const EventTrace serial = run_with(false);
     EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(run_with(1), serial);
+    EXPECT_EQ(run_with(true), serial);
 }
 
 TEST(Lockstep, DaemonShutdownMidQuantumMatchesSerial)
@@ -412,8 +412,8 @@ TEST(Lockstep, DaemonShutdownMidQuantumMatchesSerial)
     // The last non-daemon thread finishes mid-quantum; the blocked
     // daemon must observe shutdown and exit at the same virtual time
     // under both engines (no waiting out the rest of the quantum).
-    auto run_with = [](unsigned lanes) {
-        Scheduler s(1, testCosts(), lanes);
+    auto run_with = [](bool lockstep) {
+        Scheduler s(1, testCosts(), lockstep);
         EventTrace ev;
         s.spawn(
             "daemon", 1,
@@ -430,9 +430,9 @@ TEST(Lockstep, DaemonShutdownMidQuantumMatchesSerial)
         s.run();
         return ev;
     };
-    const EventTrace serial = run_with(0);
+    const EventTrace serial = run_with(false);
     EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(run_with(1), serial);
+    EXPECT_EQ(run_with(true), serial);
 }
 
 TEST(Lockstep, NoYieldSpanningQuantumBoundaryMatchesSerial)
@@ -441,8 +441,8 @@ TEST(Lockstep, NoYieldSpanningQuantumBoundaryMatchesSerial)
     // preemption to its close; the deferred switch must land at the
     // same virtual time under both engines, and the timesliced peer
     // must observe the same slice boundaries.
-    auto run_with = [](unsigned lanes) {
-        Scheduler s(1, testCosts(), lanes);
+    auto run_with = [](bool lockstep) {
+        Scheduler s(1, testCosts(), lockstep);
         EventTrace ev;
         s.spawn("a", 1, [&](SimThread &t) {
             t.accrue(8'000);
@@ -463,9 +463,9 @@ TEST(Lockstep, NoYieldSpanningQuantumBoundaryMatchesSerial)
         s.run();
         return ev;
     };
-    const EventTrace serial = run_with(0);
+    const EventTrace serial = run_with(false);
     EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(run_with(1), serial);
+    EXPECT_EQ(run_with(true), serial);
 }
 
 TEST(Lockstep, FrontierIsQuantumAlignedDuringRun)
@@ -473,14 +473,14 @@ TEST(Lockstep, FrontierIsQuantumAlignedDuringRun)
     // quantumFrontier() is 0 under the serial engine and the
     // quantum-aligned floor of the committing slice's grant time under
     // the lockstep engine.
-    Scheduler serial(1, testCosts(), 0);
+    Scheduler serial(1, testCosts(), false);
     serial.spawn("t", 1, [&](SimThread &t) {
         t.accrue(25'000);
         EXPECT_EQ(serial.quantumFrontier(), 0u);
     });
     serial.run();
 
-    Scheduler ls(1, testCosts(), 1);
+    Scheduler ls(1, testCosts(), true);
     ls.spawn("t", 1, [&](SimThread &t) {
         for (int i = 0; i < 5; ++i) {
             t.accrue(7'000);

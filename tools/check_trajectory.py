@@ -20,22 +20,25 @@ bench_all trajectory files (DESIGN.md §9):
     really drove the remote-dealloc queues); records that emit a
     "min_leg_seconds" floor must have every timed leg at or above it
     (sub-threshold legs are pure host jitter, not measurements);
-  - runs carrying a "kernels" record (DESIGN.md §17) must have
-    "sim_results_match" true (forced-scalar and dispatched kernel
-    legs produced identical simulated work), every leg's
-    "sim_cycles_match" true, and the record-level "host_speedup"
-    (aggregate off/on ns across regimes) >= 1.0 — per-leg ratios are
-    informational because a regime with no tag work measures pure
-    host jitter;
-  - runs carrying a "kernels" record that also ran with
-    "host_threads" >= 2 must have "end_to_end.parallel_speedup"
-    >= 1.15 (the arbiter keeps cross-cell scaling from decaying; a
-    single-slot cpuset cannot scale cross-cell, so it is exempt);
-  - among full-mode (non-quick) runs, the newest run's
+  - runs carrying a "kernels" record (written by older bench_all
+    builds with SIMD sweep kernels) must have "sim_results_match"
+    true (forced-scalar and dispatched kernel legs produced identical
+    simulated work), every leg's "sim_cycles_match" true, and the
+    record-level "host_speedup" (aggregate off/on ns across regimes)
+    >= 1.0 — per-leg ratios are informational because a regime with
+    no tag work measures pure host jitter;
+  - runs with "host_threads" >= 2 must have
+    "end_to_end.parallel_speedup" >= 1.15 (cross-cell scaling must not
+    decay; a single-slot cpuset cannot scale cross-cell, so it is
+    exempt);
+  - among full-mode (non-quick) runs with an equal "host" fingerprint
+    (nproc, affinity, CPU model, compiler, build type; runs without
+    one form their own class), the newest run's
     "end_to_end.fast_parallel_seconds" must not exceed 1.25x the best
-    earlier full-mode run (host-noise tolerance; catches gross e2e
+    earlier run of its class (host-noise tolerance; catches gross e2e
     regressions while the per-run sim_results_match catches
-    correctness drift);
+    correctness drift — absolute seconds from different hosts are
+    not comparable);
   - runs must carry a non-empty "label" and at least one microbench
     row (catches truncated/hand-edited files).
 
@@ -155,35 +158,43 @@ def check_trajectory_runs(runs):
                     f"slower than scalar overall "
                     f"(host_speedup {speedup})"
                 )
-            # With the arbiter in place, cross-cell scaling must not
-            # decay — but only a multi-slot cpuset can scale at all.
-            threads = run.get("host_threads")
-            par = run.get("end_to_end", {}).get("parallel_speedup")
-            if isinstance(threads, int) and threads >= 2:
-                if not isinstance(par, (int, float)) or par < 1.15:
-                    fail(
-                        f'run "{label}": parallel_speedup {par} below '
-                        "the 1.15 floor despite "
-                        f"{threads} host threads"
-                    )
+        # Cross-cell scaling must not decay — but only a multi-slot
+        # cpuset can scale at all.
+        threads = run.get("host_threads")
+        par = e2e.get("parallel_speedup")
+        if isinstance(threads, int) and threads >= 2:
+            if not isinstance(par, (int, float)) or par < 1.15:
+                fail(
+                    f'run "{label}": parallel_speedup {par} below '
+                    "the 1.15 floor despite "
+                    f"{threads} host threads"
+                )
 
     # End-to-end host-time regression: the newest full-mode run vs the
-    # best earlier full-mode run, with 1.25x host-noise headroom.
+    # best earlier full-mode run on an equal host fingerprint, with
+    # 1.25x host-noise headroom.
+    def host_class(run):
+        return json.dumps(run.get("host"), sort_keys=True)
+
     full = [
-        (r.get("label"), r.get("end_to_end", {}).get(
-            "fast_parallel_seconds"))
-        for r in runs
-        if r.get("quick") is not True
+        r for r in runs
+        if r.get("quick") is not True and isinstance(
+            r.get("end_to_end", {}).get("fast_parallel_seconds"),
+            (int, float))
     ]
-    full = [(l, s) for l, s in full if isinstance(s, (int, float))]
-    if len(full) >= 2:
-        best_prior = min(s for _, s in full[:-1])
-        label, latest = full[-1]
-        if latest > 1.25 * best_prior:
+    if full:
+        newest = full[-1]
+        prior = [
+            r["end_to_end"]["fast_parallel_seconds"]
+            for r in full[:-1]
+            if host_class(r) == host_class(newest)
+        ]
+        latest = newest["end_to_end"]["fast_parallel_seconds"]
+        if prior and latest > 1.25 * min(prior):
             fail(
-                f'run "{label}": fast-parallel e2e regressed to '
-                f"{latest:.3f}s (best prior full run "
-                f"{best_prior:.3f}s, 1.25x budget)"
+                f'run "{newest.get("label")}": fast-parallel e2e '
+                f"regressed to {latest:.3f}s (best prior full run on "
+                f"the same host {min(prior):.3f}s, 1.25x budget)"
             )
     return "determinism contract held in all"
 

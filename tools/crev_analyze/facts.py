@@ -59,7 +59,7 @@ _ON_HOOK = re.compile(r"on[A-Z]\w*\Z")
 #: Uncharged accessors and the charging APIs that account for them.
 UNCHARGED_ACCESSORS = frozenset(
     ("peekTag", "peekCap", "peekByte", "peekLineTagNibble",
-     "probeQuiet", "frameUncached"))
+     "probeQuiet"))
 CHARGE_NAMES = frozenset(
     ("chargeRead", "chargeWrite", "chargeReadPaddr", "chargeAccess"))
 
@@ -121,8 +121,7 @@ OBSERVER_DIRS = (
     os.path.join("src", "check"),
     os.path.join("src", "trace"),
 )
-OBSERVER_FILES = frozenset(
-    ("auditor.cc", "auditor.h", "prescan.cc", "prescan.h"))
+OBSERVER_FILES = frozenset(("auditor.cc", "auditor.h"))
 
 VM_DIR = os.path.join("src", "vm")
 
