@@ -2,8 +2,8 @@
  * @file
  * The host-performance trajectory bench: runs the union of the
  * fig1-fig9 simulation cells serially and then across the host thread
- * pool, measures the sweep microbench regimes with fast paths on and
- * off, and writes everything to BENCH_TRAJECTORY.json (machine-
+ * pool, measures the sweep microbench regimes, and writes everything
+ * to BENCH_TRAJECTORY.json (machine-
  * readable; see DESIGN.md §9 for how to read BENCH_*.json files).
  * The trajectory file *accumulates*: each run appends one entry to
  * the top-level "runs" array, so successive PRs' CI artifacts form a
@@ -13,8 +13,8 @@
  *
  * Simulated results are identical in every mode — this binary measures
  * how fast the *simulator* runs, and doubles as a regression gate for
- * the fast-path determinism contract (it fails loudly if simulated
- * cycles per page differ between fast and reference sweeps).
+ * the determinism contract (it fails loudly if simulated cycles per
+ * page vary across sweep trials, or if the engines disagree).
  *
  * Usage: bench_all [--quick] [--out FILE] [--label NAME] [--threads N]
  *   --quick: small cell set for CI smoke runs.
@@ -53,7 +53,7 @@ struct RegimeRow
 {
     SweepRegime regime;
     SweepRegimeResult fast;
-    SweepRegimeResult reference;
+    bool sim_cycles_match = true; //!< equal across every trial
 };
 
 void
@@ -112,16 +112,14 @@ addCells(ParallelRunner &runner, bool quick)
 }
 
 double
-timedRun(bool quick, unsigned threads, bool host_fast_paths, bool lockstep,
+timedRun(bool quick, unsigned threads, bool lockstep,
          const std::string &cost_file, std::vector<CellResult> *results_out)
 {
-    // The cells build their MachineConfigs internally; the env knobs
-    // are the global defaults they pick up. Set before any worker
+    // The cells build their MachineConfigs internally; the env knob
+    // is the global default they pick up. Set before any worker
     // exists — parallelMap with 1 worker runs inline on this thread.
     // CREV_PAR_CORES selects the engine (DESIGN.md §14): 0 pins the
-    // serial token engine (the seed-equivalent reference), 1 the
-    // lockstep engine.
-    setenv("CREV_HOST_FAST_PATHS", host_fast_paths ? "1" : "0", 1);
+    // serial token engine, 1 the lockstep engine.
     setenv("CREV_PAR_CORES", lockstep ? "1" : "0", 1);
     ParallelRunner runner;
     runner.setCostFile(cost_file);
@@ -131,7 +129,6 @@ timedRun(bool quick, unsigned threads, bool host_fast_paths, bool lockstep,
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-    setenv("CREV_HOST_FAST_PATHS", "1", 1);
     if (results_out != nullptr)
         *results_out = std::move(results);
     return secs;
@@ -452,14 +449,13 @@ main(int argc, char **argv)
     benchutil::banner("Host-performance trajectory (bench_all)",
                       "simulator host perf; no paper figure");
 
-    // --- sweep microbench: fast vs reference, four tag regimes ---
+    // --- sweep microbench: four tag regimes ---
     const std::size_t pages = quick ? 16 : 64;
     const std::size_t repeats = quick ? 10 : 40;
     // Host timings on a shared box are noisy; each measurement window
-    // is only tens of milliseconds. Interleave fast and reference
-    // measurements over several trials and keep the minimum per side
-    // (the least-disturbed run). Simulated cycles must be identical
-    // across every trial of either side.
+    // is only tens of milliseconds. Measure over several trials and
+    // keep the minimum (the least-disturbed run). Simulated cycles
+    // must be identical across every trial.
     const std::size_t trials = quick ? 2 : 5;
     std::vector<RegimeRow> regimes;
     bool determinism_ok = true;
@@ -473,63 +469,42 @@ main(int argc, char **argv)
         for (std::size_t k = 0; k < trials; ++k) {
             const auto fast = benchutil::measureSweepRegime(
                 r, true, pages, repeats);
-            const auto ref = benchutil::measureSweepRegime(
-                r, false, pages, repeats);
             if (k == 0) {
                 row.fast = fast;
-                row.reference = ref;
                 continue;
             }
             row.fast.host_ns_per_page = std::min(
                 row.fast.host_ns_per_page, fast.host_ns_per_page);
-            row.reference.host_ns_per_page =
-                std::min(row.reference.host_ns_per_page,
-                         ref.host_ns_per_page);
             if (fast.sim_cycles_per_page !=
-                    row.fast.sim_cycles_per_page ||
-                ref.sim_cycles_per_page !=
-                    row.reference.sim_cycles_per_page) {
+                row.fast.sim_cycles_per_page) {
                 std::fprintf(stderr,
                              "FAIL: regime %s simulated cycles vary "
                              "across trials\n",
                              benchutil::sweepRegimeName(r));
-                determinism_ok = false;
+                row.sim_cycles_match = false;
             }
         }
-        if (row.fast.sim_cycles_per_page !=
-            row.reference.sim_cycles_per_page) {
-            std::fprintf(stderr,
-                         "FAIL: regime %s simulated cycles diverge "
-                         "(fast %.1f vs reference %.1f)\n",
-                         benchutil::sweepRegimeName(r),
-                         row.fast.sim_cycles_per_page,
-                         row.reference.sim_cycles_per_page);
-            determinism_ok = false;
-        }
+        determinism_ok = determinism_ok && row.sim_cycles_match;
         regimes.push_back(row);
     }
 
     std::printf("sweep microbench (host ns/page, %zu pages x %zu "
                 "repeats):\n",
                 pages, repeats);
-    std::printf("  %-12s %12s %12s %9s %16s\n", "regime", "fast",
-                "reference", "speedup", "sim cycles/page");
+    std::printf("  %-12s %12s %16s\n", "regime", "host ns",
+                "sim cycles/page");
     for (const auto &row : regimes)
-        std::printf("  %-12s %12.1f %12.1f %8.2fx %16.1f\n",
+        std::printf("  %-12s %12.1f %16.1f\n",
                     benchutil::sweepRegimeName(row.regime),
                     row.fast.host_ns_per_page,
-                    row.reference.host_ns_per_page,
-                    row.reference.host_ns_per_page /
-                        row.fast.host_ns_per_page,
                     row.fast.sim_cycles_per_page);
 
     // --- end-to-end cell set, three host configurations ---
-    // reference-serial is the seed-equivalent host behaviour (no fast
-    // paths, one thread, serial token engine); fast-serial isolates
-    // the fast-path + lockstep-engine gain; fast-parallel adds the
-    // thread pool. Simulated results must be identical in all three.
-    // Two interleaved legs, minimum kept per configuration — the same
-    // noise treatment as the microbench.
+    // reference-serial is the serial token engine on one thread;
+    // fast-serial is the lockstep engine on one thread; fast-parallel
+    // adds the thread pool. Simulated results must be identical in all
+    // three. Two interleaved legs, minimum kept per configuration —
+    // the same noise treatment as the microbench.
     const unsigned threads = threads_flag != 0
                                  ? threads_flag
                                  : benchutil::benchThreads();
@@ -538,20 +513,20 @@ main(int argc, char **argv)
     std::vector<CellResult> ref_cells, cells;
     for (std::size_t leg = 0; leg < legs; ++leg) {
         std::fprintf(stderr,
-                     "  e2e leg %zu/%zu: serial, fast paths off...\n",
+                     "  e2e leg %zu/%zu: serial token engine...\n",
                      leg + 1, legs);
         std::vector<CellResult> rc;
-        const double r = timedRun(quick, 1, false, false, out_path, &rc);
+        const double r = timedRun(quick, 1, false, out_path, &rc);
         std::fprintf(stderr,
-                     "  e2e leg %zu/%zu: serial, fast paths on...\n",
+                     "  e2e leg %zu/%zu: lockstep engine...\n",
                      leg + 1, legs);
-        const double s = timedRun(quick, 1, true, true, out_path, nullptr);
+        const double s = timedRun(quick, 1, true, out_path, nullptr);
         std::fprintf(stderr,
                      "  e2e leg %zu/%zu: %u host threads...\n",
                      leg + 1, legs, threads);
         std::vector<CellResult> pc;
         const double p =
-            timedRun(quick, threads, true, true, out_path, &pc);
+            timedRun(quick, threads, true, out_path, &pc);
         determinism_ok = determinism_ok && sameSimResults(rc, pc);
         if (leg == 0) {
             ref_serial_secs = r;
@@ -569,12 +544,12 @@ main(int argc, char **argv)
     }
 
     std::printf("\nend-to-end cell set (%zu cells):\n", cells.size());
-    std::printf("  reference serial (seed-equivalent): %.2fs\n",
+    std::printf("  serial token engine:           %.2fs\n",
                 ref_serial_secs);
-    std::printf("  fast-path serial:                   %.2fs (%.2fx)\n",
+    std::printf("  lockstep engine:               %.2fs (%.2fx)\n",
                 serial_secs, ref_serial_secs / serial_secs);
-    std::printf("  fast-path parallel (%2u threads):    %.2fs (%.2fx "
-                "vs reference)\n",
+    std::printf("  lockstep engine (%2u threads):  %.2fs (%.2fx "
+                "vs serial token engine)\n",
                 threads, parallel_secs,
                 ref_serial_secs / parallel_secs);
 
@@ -631,19 +606,11 @@ main(int argc, char **argv)
             f,
             "        {\"regime\": \"%s\", "
             "\"fast_ns_per_page\": %.2f, "
-            "\"reference_ns_per_page\": %.2f, "
-            "\"host_speedup\": %.3f, "
             "\"sim_cycles_per_page\": %.2f, "
             "\"sim_cycles_match\": %s}%s\n",
             benchutil::sweepRegimeName(row.regime),
-            row.fast.host_ns_per_page,
-            row.reference.host_ns_per_page,
-            row.reference.host_ns_per_page / row.fast.host_ns_per_page,
-            row.fast.sim_cycles_per_page,
-            row.fast.sim_cycles_per_page ==
-                    row.reference.sim_cycles_per_page
-                ? "true"
-                : "false",
+            row.fast.host_ns_per_page, row.fast.sim_cycles_per_page,
+            row.sim_cycles_match ? "true" : "false",
             i + 1 < regimes.size() ? "," : "");
     }
     std::fprintf(f, "      ],\n");
@@ -708,7 +675,7 @@ main(int argc, char **argv)
 
     if (!determinism_ok) {
         std::fprintf(stderr,
-                     "bench_all: fast-path determinism violated\n");
+                     "bench_all: determinism violated\n");
         return 1;
     }
     return 0;

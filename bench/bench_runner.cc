@@ -233,13 +233,12 @@ sweepRegimeName(SweepRegime r)
 }
 
 SweepRegimeResult
-measureSweepRegime(SweepRegime regime, bool host_fast_paths,
+measureSweepRegime(SweepRegime regime, bool /*host_fast_paths*/,
                    std::size_t pages, std::size_t repeats,
                    bool /*memo*/, bool /*with_prescan*/)
 {
     core::MachineConfig cfg;
     cfg.strategy = core::Strategy::kBaseline; // no revoker daemon
-    cfg.host_fast_paths = host_fast_paths;
     core::Machine m(cfg);
 
     SweepRegimeResult result;
@@ -278,8 +277,7 @@ measureSweepRegime(SweepRegime regime, bool host_fast_paths,
         // a zero bit, never clear tags, and every repeat sweeps the
         // same population.
         revoker::RevocationBitmap bitmap(ctx.machine().mmu());
-        revoker::SweepEngine engine(ctx.machine().mmu(), bitmap,
-                                    host_fast_paths);
+        revoker::SweepEngine engine(ctx.machine().mmu(), bitmap);
         sim::SimThread &t = ctx.thread();
         if (revoke_dense)
             bitmap.paint(t, v.base, 64);

@@ -157,17 +157,15 @@ struct SweepRegimeResult
 
 /**
  * Sweep @p pages resident pages populated per @p regime, @p repeats
- * times over, with the engine's host fast paths on or off, and report
- * host ns and simulated cycles per page. Simulated cycles per page
- * must come out identical for both fast-path settings (that is the
- * determinism contract); only host ns may differ.
+ * times over, and report host ns and simulated cycles per page.
+ * Simulated cycles per page are deterministic; only host ns varies.
  *
- * @p memo and @p with_prescan are unused: they keep the signature
- * hostbench/hostbench.cpp calls, and a benchmark-only change can drop
- * them.
+ * The second parameter, @p memo and @p with_prescan are unused: they
+ * keep the signature hostbench/hostbench.cpp calls, and a
+ * benchmark-only change can drop them.
  */
 SweepRegimeResult measureSweepRegime(SweepRegime regime,
-                                     bool host_fast_paths,
+                                     bool /*host_fast_paths*/,
                                      std::size_t pages = 64,
                                      std::size_t repeats = 40,
                                      bool memo = false,

@@ -10,6 +10,10 @@ namespace crev::alloc {
 namespace {
 constexpr std::size_t kChunkSize = 64 * 1024;
 constexpr std::size_t kArenaSize = 1024 * 1024;
+constexpr std::size_t kHeapPages = static_cast<std::size_t>(
+    (vm::kHeapCeiling - vm::kHeapBase) / kPageSize);
+constexpr std::size_t kHeapGranules = static_cast<std::size_t>(
+    (vm::kHeapCeiling - vm::kHeapBase) / kGranuleSize);
 
 /** Granule-indexed size-class table: entry g holds the class for all
  *  sizes in (16*(g-1), 16*g]. Built at compile time from kSizeClasses
@@ -29,7 +33,8 @@ constexpr auto kClassLut = [] {
 
 SnmallocLite::SnmallocLite(kern::Kernel &kernel, vm::Mmu &mmu,
                            unsigned shards)
-    : kernel_(kernel), mmu_(mmu)
+    : kernel_(kernel), mmu_(mmu), chunk_by_page_(kHeapPages, nullptr),
+      live_bits_(kHeapGranules / 64, 0)
 {
     CREV_ASSERT(shards >= 1);
     shards_.resize(shards);
@@ -65,27 +70,16 @@ SnmallocLite::carveChunk(sim::SimThread &t, Shard &sh,
 const SnmallocLite::ChunkMeta &
 SnmallocLite::chunkFor(Addr va) const
 {
-    if (fast_index_) {
-        CREV_ASSERT(va >= vm::kHeapBase && va < vm::kHeapCeiling);
-        const ChunkMeta *m =
-            chunk_by_page_[(va - vm::kHeapBase) / kPageSize];
-        CREV_ASSERT(m != nullptr);
-        CREV_ASSERT(va >= m->base && va < m->base + m->length);
-        return *m;
-    }
-    auto it = chunks_.upper_bound(va);
-    CREV_ASSERT(it != chunks_.begin());
-    --it;
-    const ChunkMeta &m = it->second;
-    CREV_ASSERT(va >= m.base && va < m.base + m.length);
-    return m;
+    CREV_ASSERT(va >= vm::kHeapBase && va < vm::kHeapCeiling);
+    const ChunkMeta *m = chunk_by_page_[(va - vm::kHeapBase) / kPageSize];
+    CREV_ASSERT(m != nullptr);
+    CREV_ASSERT(va >= m->base && va < m->base + m->length);
+    return *m;
 }
 
 void
 SnmallocLite::noteChunk(const ChunkMeta &m)
 {
-    if (!fast_index_)
-        return;
     for (Addr va = m.base; va < m.base + m.length; va += kPageSize)
         chunk_by_page_[(va - vm::kHeapBase) / kPageSize] = &m;
 }
@@ -123,30 +117,6 @@ SnmallocLite::liveBitClear(Addr base)
         return false;
     w &= ~bit;
     return true;
-}
-
-void
-SnmallocLite::setFastIndex(bool on)
-{
-    fast_index_ = on;
-    if (!on) {
-        chunk_by_page_.clear();
-        live_bits_.clear();
-        return;
-    }
-    constexpr std::size_t kHeapPages = static_cast<std::size_t>(
-        (vm::kHeapCeiling - vm::kHeapBase) / kPageSize);
-    constexpr std::size_t kHeapGranules = static_cast<std::size_t>(
-        (vm::kHeapCeiling - vm::kHeapBase) / kGranuleSize);
-    chunk_by_page_.assign(kHeapPages, nullptr);
-    live_bits_.assign(kHeapGranules / 64, 0);
-    for (const auto &[base, m] : chunks_)
-        noteChunk(m);
-    // Bit-set migration commutes: the resulting bitmap is independent
-    // of visit order. lint: unordered-ok
-    for (Addr base : live_)
-        liveBitSet(base);
-    live_.clear();
 }
 
 cap::Capability
@@ -208,10 +178,7 @@ SnmallocLite::alloc(sim::SimThread &t, std::size_t size,
     }
 
     CREV_ASSERT(result.tag);
-    if (fast_index_)
-        liveBitSet(result.base);
-    else
-        live_.insert(result.base);
+    liveBitSet(result.base);
     live_bytes_ += result.length();
     ++stats_.allocs;
     stats_.bytes_allocated_total += result.length();
@@ -283,9 +250,7 @@ SnmallocLite::retire(Addr base)
         throw std::logic_error(
             "free of a pointer whose remote free is still in flight "
             "(double free)");
-    const bool was_live =
-        fast_index_ ? liveBitClear(base) : live_.erase(base) != 0;
-    if (!was_live)
+    if (!liveBitClear(base))
         throw std::logic_error("free of a pointer that is not live "
                                "(double free or invalid free)");
     const std::size_t size = objectSize(base);

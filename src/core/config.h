@@ -35,14 +35,6 @@ enum class Strategy {
 const char *strategyName(Strategy s);
 
 /**
- * Default for MachineConfig::host_fast_paths: true unless the
- * CREV_HOST_FAST_PATHS environment variable is set to "0" (host-side
- * A/B benching and debugging; simulated results are identical either
- * way).
- */
-bool defaultHostFastPaths();
-
-/**
  * Default for MachineConfig::trace: false unless the CREV_TRACE
  * environment variable is set to something other than "0". Tracing
  * charges zero simulated cycles, so results are identical either way;
@@ -59,15 +51,6 @@ bool defaultTrace();
 bool defaultCheck();
 
 /**
- * Default for MachineConfig::sweep_accel: true unless the
- * CREV_SWEEP_ACCEL environment variable is set to "0". Like
- * host_fast_paths this is a pure host-side lever: the cap-dirty page
- * index changes which host code selects sweep work, never the
- * simulated charges, so RunMetrics are byte-identical either way.
- */
-bool defaultSweepAccel();
-
-/**
  * Default for MachineConfig::oracle: false unless the CREV_ORACLE
  * environment variable is set to something other than "0". The
  * temporal-safety oracle is an off-clock observer like the race
@@ -78,10 +61,10 @@ bool defaultOracle();
 /**
  * Default for MachineConfig::par_cores: true (the lockstep engine)
  * unless the CREV_PAR_CORES environment variable is set to "0", which
- * selects the serial token engine (the reference implementation).
- * RunMetrics are bit-identical between the engines
- * (tests/determinism_test.cpp), so this is a pure host-side lever like
- * host_fast_paths.
+ * selects the serial token engine. Both engines run the same host
+ * lookup structures, and RunMetrics are bit-identical between them
+ * (tests/determinism_test.cpp), so this is a pure host-side lever —
+ * the only one.
  */
 bool defaultParCores();
 
@@ -123,21 +106,12 @@ struct MachineConfig
     /** Run the whole-machine invariant audit after every epoch. */
     bool audit = false;
 
-    /** Host-side memoisation fast paths (translation/frame caches,
-     *  packed tag-nibble sweeps). Pure host optimisation: results are
-     *  byte-identical either way (tests/determinism_test.cpp). */
-    bool host_fast_paths = defaultHostFastPaths();
-
-    /** Hierarchical sweep acceleration (DESIGN.md §12): page-index
-     *  driven sweep candidate selection. Pure host optimisation, like
-     *  host_fast_paths: results are byte-identical either way. */
-    bool sweep_accel = defaultSweepAccel();
-
-    /** Engine selector (DESIGN.md §14): false = serial token engine
-     *  (the reference); true = lockstep engine with its flat lookup
-     *  structures and fibers. Multi-core simulated machines default
-     *  to the lockstep engine; single-core ones always run the token
-     *  engine. RunMetrics are bit-identical between the engines. */
+    /** Engine selector (DESIGN.md §14): false = serial token engine;
+     *  true = lockstep engine on fibers. Both engines share one set of
+     *  host lookup structures (DESIGN.md §14.4). Multi-core simulated
+     *  machines default to the lockstep engine; single-core ones
+     *  always run the token engine. RunMetrics are bit-identical
+     *  between the engines and match tests/golden. */
     bool par_cores = defaultParCores();
 
     /** Per-core allocator sharding (DESIGN.md §15): number of

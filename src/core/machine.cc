@@ -35,13 +35,6 @@ strategyName(Strategy s)
 }
 
 bool
-defaultHostFastPaths()
-{
-    const char *env = std::getenv("CREV_HOST_FAST_PATHS");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-bool
 defaultTrace()
 {
     const char *env = std::getenv("CREV_TRACE");
@@ -53,13 +46,6 @@ defaultCheck()
 {
     const char *env = std::getenv("CREV_CHECK");
     return env != nullptr && std::strcmp(env, "0") != 0;
-}
-
-bool
-defaultSweepAccel()
-{
-    const char *env = std::getenv("CREV_SWEEP_ACCEL");
-    return env == nullptr || std::strcmp(env, "0") != 0;
 }
 
 bool
@@ -133,19 +119,9 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     sched_->setChecker(checker_.get());
     as_ = std::make_unique<vm::AddressSpace>(pm_);
     as_->setChecker(checker_.get());
-    // Flat lookup structures ride with the lockstep engine
-    // (DESIGN.md §14.4); the serial reference engine keeps the
-    // original map-based code paths untouched.
-    const bool lockstep = sched_->lockstep();
-    pm_.setDenseIndex(lockstep);
-    as_->setFastIndex(lockstep);
-    ms_->setFastIndex(lockstep);
     mmu_ = std::make_unique<vm::Mmu>(pm_, *ms_, *as_, sched_->costs());
-    mmu_->setHostFastPaths(cfg.host_fast_paths);
-    mmu_->setFastTlb(lockstep);
     mmu_->setTracer(tracer_.get());
     kernel_ = std::make_unique<kern::Kernel>(*mmu_, sched_->costs());
-    kernel_->setFastReap(lockstep);
     kernel_->epoch().setChecker(checker_.get());
 
     if (cfg.faults.enabled) {
@@ -190,7 +166,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     if (cfg.strategy == Strategy::kBaseline) {
         snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_,
                                                      alloc_shards);
-        snm_->setFastIndex(lockstep);
         shim_ = std::make_unique<alloc::QuarantineShim>(
             *snm_, *kernel_, nullptr, nullptr, cfg.policy);
         shim_->setTracer(tracer_.get());
@@ -206,8 +181,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     opts.always_trap_clean_pages = cfg.always_trap_clean;
     opts.background_sweepers = cfg.background_sweepers;
     opts.audit = cfg.audit;
-    opts.host_fast_paths = cfg.host_fast_paths;
-    opts.sweep_accel = cfg.sweep_accel;
     opts.injector = injector_.get();
     opts.tracer = tracer_.get();
 
@@ -295,7 +268,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
 
     snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_,
                                                  alloc_shards);
-    snm_->setFastIndex(lockstep);
     shim_ = std::make_unique<alloc::QuarantineShim>(
         *snm_, *kernel_, revoker_.get(), bitmap_.get(), cfg.policy);
     shim_->setTracer(tracer_.get());

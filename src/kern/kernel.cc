@@ -67,11 +67,8 @@ Kernel::sysMunmap(sim::SimThread &t, Addr base, Addr length)
 std::size_t
 Kernel::reapQuarantinedMappings(sim::SimThread &t)
 {
-    // Nothing can be releasable below the minimum queued target; the
-    // walk would charge nothing and release nothing, so it can be
-    // skipped wholesale (lockstep engine only — the reference keeps
-    // the unconditional walk).
-    if (fast_reap_ && epoch_.value() < min_release_target_)
+    // Nothing can be releasable below the minimum queued target.
+    if (epoch_.value() < min_release_target_)
         return 0;
     std::size_t released = 0;
     std::uint64_t min_target = ~std::uint64_t{0};

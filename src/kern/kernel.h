@@ -144,19 +144,11 @@ class Kernel
      * Release mapping-quarantined reservations whose epoch target has
      * passed; called by the revoker after each epoch. The shadow bits
      * painted at quarantine time are cleared here. Returns how many
-     * were released.
+     * were released. The walk is skipped outright while the epoch
+     * counter is below every queued release target: it would charge
+     * nothing and release nothing.
      */
     std::size_t reapQuarantinedMappings(sim::SimThread &t);
-
-    /**
-     * Lockstep-engine reap short-circuit (DESIGN.md §14.4): skip the
-     * quarantined-mapping walk outright when the epoch counter is
-     * below every queued release target. The walk charges nothing
-     * and releases nothing in that case, so skipping it is invisible
-     * to simulated state; the serial reference engine keeps the
-     * unconditional walk.
-     */
-    void setFastReap(bool on) { fast_reap_ = on; }
 
     EpochCounter &epoch() { return epoch_; }
     KernelHoard &hoard() { return hoard_; }
@@ -186,8 +178,7 @@ class Kernel
     EpochCounter epoch_;
     KernelHoard hoard_;
     std::vector<QuarantinedMapping> quarantined_mappings_;
-    bool fast_reap_ = false;
-    /** Min release target over quarantined_mappings_ (fast reap). */
+    /** Min release target over quarantined_mappings_. */
     std::uint64_t min_release_target_ = ~std::uint64_t{0};
     ShadowHook paint_;
     ShadowHook clear_;

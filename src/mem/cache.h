@@ -12,10 +12,10 @@
  * frame-reuse invalidation can prove in O(1) that a cache holds no
  * line of a frame instead of walking all of the frame's sets.
  *
- * Under the lockstep engine a per-set MRU-way hint is probed before
- * the set scan (DESIGN.md §14.4). Hit/miss outcomes, LRU victim
- * choices, and writeback sequences are identical with the hint on or
- * off — the switch is invisible to simulated state.
+ * A per-set MRU-way hint is probed before the set scan (DESIGN.md
+ * §14.4). A hint hit performs exactly the transitions the scan would,
+ * so hit/miss outcomes, LRU victim choices and writeback sequences are
+ * those of the plain scan.
  */
 
 #ifndef CREV_MEM_CACHE_H_
@@ -74,12 +74,11 @@ class Cache
     bool contains(Addr addr) const;
 
     /**
-     * Hint-only probe backing MemorySystem's gated single-line fast
-     * path (DESIGN.md §14.4). On an MRU-way hit it performs exactly
-     * the transitions access() would (tick/lru/dirty/hits) and
-     * returns true; otherwise it changes nothing and returns false so
-     * the caller can fall back to the full access() path. Must only
-     * be called with the hint enabled.
+     * Hint-only probe backing MemorySystem's single-line fast path
+     * (DESIGN.md §14.4). On an MRU-way hit it performs exactly the
+     * transitions access() would (tick/lru/dirty/hits) and returns
+     * true; otherwise it changes nothing and returns false so the
+     * caller can fall back to the full access() path.
      */
     bool
     tryHintAccess(Addr addr, bool write)
@@ -98,11 +97,10 @@ class Cache
     }
 
     /**
-     * The access state machine, inline so MemorySystem's gated miss
-     * path (DESIGN.md §14.4) can fuse the L1 and LLC transitions into
-     * one frame with no cross-TU calls. access() is a thin wrapper
-     * around this — serial and lockstep engines execute the one
-     * definition, so the transition sequences cannot diverge.
+     * The access state machine, inline so MemorySystem's miss path
+     * (DESIGN.md §14.4) can fuse the L1 and LLC transitions into one
+     * frame with no cross-TU calls. access() is a thin wrapper around
+     * this.
      */
     CacheResult
     accessInline(Addr addr, bool write, bool try_hint = true)
@@ -118,7 +116,7 @@ class Cache
         // know it rarely pays, e.g. the LLC legs of a miss) skip the
         // redundant probe; the scan still refreshes mru_ on every hit
         // and fill, so later probes stay accurate either way.
-        if (fast_ && try_hint) {
+        if (try_hint) {
             // MRU-way hint: a hint hit performs exactly the
             // transitions the set scan below would have (same
             // lru/dirty/hit updates); a mismatch falls through to the
@@ -140,8 +138,7 @@ class Cache
                 line.dirty |= write;
                 ++hits_;
                 res.hit = true;
-                if (fast_)
-                    mru_[set] = static_cast<std::uint8_t>(w);
+                mru_[set] = static_cast<std::uint8_t>(w);
                 return res;
             }
             if (!line.valid) {
@@ -152,8 +149,7 @@ class Cache
         }
 
         ++misses_;
-        if (fast_)
-            mru_[set] = static_cast<std::uint8_t>(victim - ways);
+        mru_[set] = static_cast<std::uint8_t>(victim - ways);
         if (victim->valid) {
             trackDrop(victim->tag);
             if (victim->dirty) {
@@ -171,14 +167,6 @@ class Cache
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-
-    /**
-     * Enable the per-set MRU-way hint, probed before the set scan. A
-     * hint hit performs exactly the transitions the scan would have
-     * (same lru/dirty/hit updates); mismatches fall through to the
-     * unmodified scan. Pure host-side change.
-     */
-    void setFastIndex(bool on);
 
   private:
     struct Line
@@ -222,7 +210,6 @@ class Cache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 
-    bool fast_ = false;
     std::vector<std::uint8_t> mru_; //!< per-set last-touched way
 
     /** pfn -> resident line count, indexed directly (PhysMem hands

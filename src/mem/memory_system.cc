@@ -15,47 +15,11 @@ MemorySystem::MemorySystem(unsigned num_cores, const CacheConfig &l1,
 }
 
 Cycles
-MemorySystem::accessLine(unsigned core, Addr line_paddr, bool write)
-{
-    MemCounters &ctr = counters_[core];
-    ++ctr.accesses;
-
-    const CacheResult l1r = l1_[core].access(line_paddr, write);
-    if (l1r.hit)
-        return lat_.l1_hit;
-    ++ctr.l1_misses;
-
-    // L1 victim writeback lands in the (shared, larger) LLC.
-    if (l1r.evicted_dirty) {
-        const CacheResult wb = llc_.access(l1r.victim_line, true);
-        if (!wb.hit) {
-            ++ctr.bus_reads;
-            if (wb.evicted_dirty)
-                ++ctr.bus_writes;
-        } else if (wb.evicted_dirty) {
-            ++ctr.bus_writes;
-        }
-    }
-
-    const CacheResult llcr = llc_.access(line_paddr, false);
-    if (llcr.hit)
-        return lat_.l1_hit + lat_.llc_hit;
-
-    ++ctr.bus_reads;
-    if (llcr.evicted_dirty)
-        ++ctr.bus_writes;
-    return lat_.l1_hit + lat_.llc_hit + lat_.dram;
-}
-
-Cycles
 MemorySystem::accessLineFast(unsigned core, Addr line_paddr, bool write,
                              bool l1_hint)
 {
-    // Gated twin of accessLine (DESIGN.md §14.4): same counter and
-    // cache transitions in the same order, but through accessInline so
-    // the L1 and LLC state machines fuse into this frame with no
-    // cross-TU calls. Both paths execute the one accessInline
-    // definition, so the sequences cannot diverge.
+    // Through accessInline (DESIGN.md §14.4), so the L1 and LLC state
+    // machines fuse into this frame with no cross-TU calls.
     MemCounters &ctr = counters_[core];
     ++ctr.accesses;
 
@@ -99,13 +63,8 @@ MemorySystem::accessSlow(unsigned core, Addr paddr, std::size_t len,
     Cycles total = 0;
     const Addr first = roundDown(paddr, kLineSize);
     const Addr last = roundDown(paddr + len - 1, kLineSize);
-    if (fast_) {
-        for (Addr line = first; line <= last; line += kLineSize)
-            total += accessLineFast(core, line, write);
-        return total;
-    }
     for (Addr line = first; line <= last; line += kLineSize)
-        total += accessLine(core, line, write);
+        total += accessLineFast(core, line, write);
     return total;
 }
 
@@ -118,15 +77,6 @@ MemorySystem::invalidateFrame(Addr pfn)
     for (auto &l1 : l1_)
         l1.invalidateFrame(pfn);
     llc_.invalidateFrame(pfn);
-}
-
-void
-MemorySystem::setFastIndex(bool on)
-{
-    fast_ = on;
-    for (auto &l1 : l1_)
-        l1.setFastIndex(on);
-    llc_.setFastIndex(on);
 }
 
 const MemCounters &

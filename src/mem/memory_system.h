@@ -62,13 +62,13 @@ class MemorySystem
     Cycles
     access(unsigned core, Addr paddr, std::size_t len, bool write)
     {
-        // Gated single-line fast path (DESIGN.md §14.4): the common
-        // L1 MRU-way hit skips the per-line loop and cross-TU calls.
+        // Single-line fast path (DESIGN.md §14.4): the common L1
+        // MRU-way hit skips the per-line loop and cross-TU calls.
         // Counter and cache transitions are identical to accessSlow's
         // (tryHintAccess performs exactly the scan's hit updates).
         // `len - 1 < kLineSize` also routes len == 0 to the slow
         // path's assert.
-        if (fast_ && len - 1 < kLineSize &&
+        if (len - 1 < kLineSize &&
             (paddr & ~Addr{kLineSize - 1}) ==
                 ((paddr + len - 1) & ~Addr{kLineSize - 1})) {
             if (l1_[core].tryHintAccess(paddr, write)) {
@@ -86,11 +86,6 @@ class MemorySystem
     /** Invalidate all cached copies of a frame (on frame reuse). */
     void invalidateFrame(Addr pfn);
 
-    /** Packed fast backing + MRU-way hints in every cache (lockstep
-     *  engine's host fast structures, DESIGN.md §14.4); hit/miss and
-     *  writeback sequences are identical either way. */
-    void setFastIndex(bool on);
-
     const MemCounters &counters(unsigned core) const;
     /** Aggregate over all cores. */
     MemCounters totalCounters() const;
@@ -100,8 +95,7 @@ class MemorySystem
   private:
     Cycles accessSlow(unsigned core, Addr paddr, std::size_t len,
                       bool write);
-    Cycles accessLine(unsigned core, Addr line_paddr, bool write);
-    /** Gated twin of accessLine built on Cache::accessInline.
+    /** One line's L1/LLC transitions, built on Cache::accessInline.
      *  @p l1_hint: probe the L1 MRU hint (false when the caller
      *  already did). */
     Cycles accessLineFast(unsigned core, Addr line_paddr, bool write,
@@ -111,7 +105,6 @@ class MemorySystem
     Cache llc_;
     MemLatency lat_;
     std::vector<MemCounters> counters_;
-    bool fast_ = false;
 };
 
 } // namespace crev::mem

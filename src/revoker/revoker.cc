@@ -12,7 +12,7 @@ Revoker::Revoker(sim::Scheduler &sched, vm::Mmu &mmu,
                  kern::Kernel &kernel, RevocationBitmap &bitmap,
                  const RevokerOptions &opts)
     : sched_(sched), mmu_(mmu), kernel_(kernel), bitmap_(bitmap),
-      opts_(opts), sweep_(mmu, bitmap, opts.host_fast_paths)
+      opts_(opts), sweep_(mmu, bitmap)
 {
 }
 
@@ -98,20 +98,10 @@ Revoker::collectPages(const std::set<Addr> &index,
 {
     std::vector<Addr> pages;
     vm::AddressSpace &as = mmu_.addressSpace();
-    if (sweepAccel()) {
-        // The index is a superset of the pages whose live PTE passes
-        // the predicate, so filtering it reproduces the full walk's
-        // list exactly (both ascend in VA).
-        for (Addr va : index) {
-            const vm::Pte *p = as.findPte(va);
-            if (p != nullptr && p->valid && want(*p))
-                pages.push_back(va);
-        }
-    } else {
-        as.forEachResidentPage([&](Addr va, vm::Pte &p) {
-            if (want(p))
-                pages.push_back(va);
-        });
+    for (Addr va : index) {
+        const vm::Pte *p = as.findPte(va);
+        if (p != nullptr && p->valid && want(*p))
+            pages.push_back(va);
     }
     return pages;
 }

@@ -14,43 +14,6 @@ SweepEngine::sweepPage(sim::SimThread &t, Addr page_va)
 {
     CREV_ASSERT(pageOffset(page_va) == 0);
     ++stats_.pages_swept;
-    return host_fast_paths_ ? sweepPageFast(t, page_va)
-                            : sweepPageReference(t, page_va);
-}
-
-bool
-SweepEngine::sweepPageReference(sim::SimThread &t, Addr page_va)
-{
-    bool clean = true;
-
-    for (Addr line = page_va; line < page_va + kPageSize;
-         line += kLineSize) {
-        // The line read brings data and tags on-chip.
-        mmu_.chargeRead(t, line, kLineSize);
-        ++stats_.lines_read;
-
-        for (Addr g = line; g < line + kLineSize; g += kGranuleSize) {
-            // Uncharged peeks are legal here: the chargeRead above
-            // paid for the line, which crev_analyze's
-            // uncharged-reach pass verifies interprocedurally.
-            if (!mmu_.peekTag(g))
-                continue;
-            clean = false;
-            ++stats_.caps_seen;
-            const cap::Capability c = mmu_.peekCap(g);
-            t.accrue(2); // decode / base extraction
-            if (bitmap_.probe(t, c.base)) {
-                mmu_.kernelClearTag(t, g);
-                ++stats_.caps_revoked;
-            }
-        }
-    }
-    return clean;
-}
-
-bool
-SweepEngine::sweepPageFast(sim::SimThread &t, Addr page_va)
-{
     // Resolve the page's frame once instead of re-dispatching through
     // the MMU per line/granule. The pointer stays valid across the
     // yields inside probe(): quiesce blocks munmap while the epoch
@@ -71,13 +34,11 @@ SweepEngine::sweepPageFast(sim::SimThread &t, Addr page_va)
         const std::size_t li =
             static_cast<std::size_t>(line - page_va) >> kLineBits;
 
-        // One packed nibble replaces four peekTag dispatches, but the
-        // probe/clear of a tagged granule can yield and let mutators
-        // flip tags mid-line, so decisions must come from LIVE state:
-        // re-read the nibble after every processed granule and only
-        // ever advance the cursor (a tag set behind it would have been
-        // equally invisible to the reference scan, which had already
-        // walked past).
+        // The probe/clear of a tagged granule can yield and let
+        // mutators flip tags mid-line, so decisions must come from
+        // LIVE state: re-read the nibble after every processed granule
+        // and only ever advance the cursor (a granule-by-granule scan
+        // would already have walked past a tag set behind it).
         for (unsigned pos = 0; pos < mem::kGranulesPerLine;) {
             // Live re-read (chargeRead above paid for the line).
             const unsigned live = f.lineNibble(li) >> pos;

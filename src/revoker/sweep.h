@@ -59,9 +59,8 @@ struct PublishOptions
 class SweepEngine
 {
   public:
-    SweepEngine(vm::Mmu &mmu, RevocationBitmap &bitmap,
-                bool host_fast_paths = true)
-        : mmu_(mmu), bitmap_(bitmap), host_fast_paths_(host_fast_paths)
+    SweepEngine(vm::Mmu &mmu, RevocationBitmap &bitmap)
+        : mmu_(mmu), bitmap_(bitmap)
     {
     }
 
@@ -70,12 +69,10 @@ class SweepEngine
      * true if the page was found to contain no tagged capabilities
      * (Reloaded's clean-page detection).
      *
-     * Two host implementations, one simulated behaviour: the fast
-     * path scans packed per-line tag nibbles with countr_zero instead
-     * of dispatching per granule, but issues exactly the same charge
-     * sequence and makes every tag decision from live state at the
-     * same virtual instants as the reference loop (the determinism
-     * test holds the two byte-identical).
+     * Charges one line read per cache line, then scans the line's
+     * packed tag nibble with countr_zero; every tag decision comes
+     * from live state, so a probe that yields sees the tags as they
+     * are when it resumes.
      */
     bool sweepPage(sim::SimThread &t, Addr page_va);
 
@@ -103,15 +100,9 @@ class SweepEngine
 
     const SweepStats &stats() const { return stats_; }
 
-    bool hostFastPaths() const { return host_fast_paths_; }
-
   private:
-    bool sweepPageReference(sim::SimThread &t, Addr page_va);
-    bool sweepPageFast(sim::SimThread &t, Addr page_va);
-
     vm::Mmu &mmu_;
     RevocationBitmap &bitmap_;
-    bool host_fast_paths_;
     SweepStats stats_;
 };
 

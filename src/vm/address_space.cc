@@ -22,7 +22,12 @@ constexpr std::size_t kShadowWindowPages =
 
 } // namespace
 
-AddressSpace::AddressSpace(mem::PhysMem &pm) : pm_(pm) {}
+AddressSpace::AddressSpace(mem::PhysMem &pm)
+    : pm_(pm), heap_pte_(kHeapWindowPages, nullptr),
+      shadow_pte_(kShadowWindowPages, nullptr),
+      heap_guard_(kHeapWindowPages, 0)
+{
+}
 
 Pte **
 AddressSpace::fastSlot(Addr page)
@@ -32,26 +37,6 @@ AddressSpace::fastSlot(Addr page)
     if (page >= kShadowBase && page < kShadowWindowEnd)
         return &shadow_pte_[(page - kShadowBase) / kPageSize];
     return nullptr;
-}
-
-void
-AddressSpace::setFastIndex(bool on)
-{
-    fast_index_ = on;
-    if (!on) {
-        heap_pte_.clear();
-        shadow_pte_.clear();
-        heap_guard_.clear();
-        return;
-    }
-    heap_pte_.assign(kHeapWindowPages, nullptr);
-    shadow_pte_.assign(kShadowWindowPages, nullptr);
-    heap_guard_.assign(kHeapWindowPages, 0);
-    for (auto &[va, p] : pages_)
-        if (Pte **s = fastSlot(va))
-            *s = &p;
-    for (Addr va : guarded_)
-        heap_guard_[(va - kHeapBase) / kPageSize] = 1;
 }
 
 Addr
@@ -72,14 +57,10 @@ AddressSpace::reserve(Addr length, bool cap_store)
     r.length = padded;
     r.requested = req;
     r.mapped_bytes = req;
-    if (fast_index_) {
-        // Reservation bases are strictly increasing (next_va_ is
-        // monotone, never recycled), so the end hint makes this O(1)
-        // instead of a root-to-leaf rb-tree descent. Same map contents.
-        reservations_.emplace_hint(reservations_.end(), base, r);
-    } else {
-        reservations_[base] = r;
-    }
+    // Reservation bases are strictly increasing (next_va_ is
+    // monotone, never recycled), so the end hint makes this O(1)
+    // instead of a root-to-leaf rb-tree descent.
+    reservations_.emplace_hint(reservations_.end(), base, r);
     mapped_bytes_ += req;
 
     // Representability padding starts life as guard pages
@@ -113,9 +94,8 @@ void
 AddressSpace::guardPage(Addr va)
 {
     const Addr page = pageBase(va);
-    guarded_.insert(page);
-    if (fast_index_)
-        heap_guard_[(page - kHeapBase) / kPageSize] = 1;
+    CREV_ASSERT(page >= kHeapBase && page < kHeapCeiling);
+    heap_guard_[(page - kHeapBase) / kPageSize] = 1;
 }
 
 void
@@ -135,7 +115,7 @@ AddressSpace::unmap(sim::SimThread &t, Addr base, Addr length)
     }
 
     for (Addr va = base; va < base + length; va += kPageSize) {
-        if (guarded_.count(va))
+        if (isGuarded(va))
             continue;
         auto it = pages_.find(va);
         CREV_ASSERT(it != pages_.end());
@@ -187,10 +167,8 @@ AddressSpace::release(sim::SimThread &t, Reservation *r)
             checker_->onPteTeardown(t.id(), t.now(), va, locked);
     }
     for (Addr va = r->base; va < r->base + r->length; va += kPageSize) {
-        if (fast_index_) {
-            if (Pte **s = fastSlot(va))
-                *s = nullptr;
-        }
+        if (Pte **s = fastSlot(va))
+            *s = nullptr;
         pages_.erase(va);
         resident_pages_.erase(va);
         cap_ever_pages_.erase(va);
@@ -219,12 +197,10 @@ Pte &
 AddressSpace::pte(Addr va)
 {
     const Addr page = pageBase(va);
-    if (fast_index_) {
-        if (Pte **s = fastSlot(page)) {
-            if (*s == nullptr)
-                *s = &pages_[page];
-            return **s;
-        }
+    if (Pte **s = fastSlot(page)) {
+        if (*s == nullptr)
+            *s = &pages_[page];
+        return **s;
     }
     return pages_[page];
 }
@@ -233,10 +209,8 @@ Pte *
 AddressSpace::findPte(Addr va)
 {
     const Addr page = pageBase(va);
-    if (fast_index_) {
-        if (Pte **s = fastSlot(page))
-            return *s;
-    }
+    if (Pte **s = fastSlot(page))
+        return *s;
     auto it = pages_.find(page);
     return it == pages_.end() ? nullptr : &it->second;
 }
@@ -253,7 +227,7 @@ AddressSpace::classify(Addr va, bool is_store, bool is_cap_store) const
 {
     const Addr page = pageBase(va);
     const Pte *p;
-    if (fast_index_ && page >= kHeapBase && page < kHeapCeiling) {
+    if (page >= kHeapBase && page < kHeapCeiling) {
         const std::size_t i =
             static_cast<std::size_t>((page - kHeapBase) / kPageSize);
         if (heap_guard_[i])
@@ -261,26 +235,18 @@ AddressSpace::classify(Addr va, bool is_store, bool is_cap_store) const
         p = heap_pte_[i];
         if (p == nullptr) // heap VA: never in the shadow region
             return FaultKind::kNotMapped;
-    } else if (fast_index_ && page >= kShadowBase &&
-               page < kShadowWindowEnd) {
+    } else if (page >= kShadowBase && page < kShadowWindowEnd) {
         // Shadow pages are never guarded (guards live inside heap
         // reservations only).
         p = shadow_pte_[(page - kShadowBase) / kPageSize];
         if (p == nullptr) // implicit kernel-provided anonymous object
             return FaultKind::kDemandZero;
     } else {
-        if (guarded_.count(page))
-            return FaultKind::kGuard;
-
+        // Outside both windows: no guards and no implicit object.
         auto pit = pages_.find(page);
-        p = pit == pages_.end() ? nullptr : &pit->second;
-
-        if (p == nullptr) {
-            // Shadow region: implicit kernel-provided anonymous object.
-            if (inShadow(va))
-                return FaultKind::kDemandZero;
+        if (pit == pages_.end())
             return FaultKind::kNotMapped;
-        }
+        p = &pit->second;
     }
     if (!p->valid)
         return FaultKind::kDemandZero;
@@ -295,7 +261,7 @@ Pte &
 AddressSpace::makeResident(Addr va)
 {
     const Addr page = pageBase(va);
-    CREV_ASSERT(guarded_.count(page) == 0);
+    CREV_ASSERT(!isGuarded(page));
     Pte &p = pte(page);
     if (!p.valid) {
         if (inShadow(va)) {

@@ -214,20 +214,18 @@ class AddressSpace
      */
     std::uint64_t pageTableEpoch() const { return pt_epoch_; }
 
-    /**
-     * Lockstep-engine flat page-table windows (DESIGN.md
-     * §14.4): direct-indexed Pte-pointer mirrors of pages_ for the
-     * heap and shadow regions, plus a guard-page byte mirror for the
-     * heap, so classify()/findPte()/pte() resolve without ordered-map
-     * lookups. Slots hold pointers to std::map nodes (stable until
-     * release() erases them, which also nulls the slot). Pure
-     * host-side switch: no simulated observable changes.
-     */
-    void setFastIndex(bool on);
-
   private:
     /** Turn the page containing @p va into a guard page. */
     void guardPage(Addr va);
+
+    /** Whether page base @p page is a guard page (guards exist only
+     *  inside heap reservations). */
+    bool
+    isGuarded(Addr page) const
+    {
+        return page >= kHeapBase && page < kHeapCeiling &&
+               heap_guard_[(page - kHeapBase) / kPageSize] != 0;
+    }
 
     /** Flat-window slot for page base @p page; null if outside. */
     Pte **fastSlot(Addr page);
@@ -235,16 +233,20 @@ class AddressSpace
     mem::PhysMem &pm_;
     std::map<Addr, Pte> pages_; //!< keyed by page base VA
     std::map<Addr, Reservation> reservations_; //!< keyed by base
-    std::set<Addr> guarded_; //!< guard-page base VAs
     std::set<Addr> resident_pages_;  //!< exact mirror of valid PTEs
     std::set<Addr> cap_ever_pages_;  //!< superset: cap_ever pages
     std::set<Addr> cap_dirty_pages_; //!< superset: cap_dirty pages
     std::vector<Reservation *> newly_quarantined_;
     std::vector<Addr> freed_frames_;
-    bool fast_index_ = false;
+    // Flat page-table windows (DESIGN.md §14.4): direct-indexed
+    // Pte-pointer mirrors of pages_ for the heap and shadow regions,
+    // plus the heap's guard-page byte map, so classify(),
+    // findPte() and pte() resolve without ordered-map lookups. Slots
+    // point at std::map nodes (stable until release() erases them,
+    // which also nulls the slot).
     std::vector<Pte *> heap_pte_;   //!< heap-window mirror of pages_
     std::vector<Pte *> shadow_pte_; //!< shadow-window mirror
-    std::vector<std::uint8_t> heap_guard_; //!< guarded_ mirror (heap)
+    std::vector<std::uint8_t> heap_guard_; //!< 1 = heap guard page
     sim::SimMutex pmap_lock_;
     check::RaceChecker *checker_ = nullptr;
     std::uint64_t pt_epoch_ = 0;

@@ -207,10 +207,7 @@ Mmu::loadData(sim::SimThread &t, Addr va, void *out, std::size_t len)
     forSegments(va, len, [&](Addr seg_va, std::size_t seg_len) {
         const Addr paddr = translate(t, seg_va, false, false);
         chargeAccess(t, t.core(), paddr, seg_len, false);
-        if (fast_mem_)
-            pm_.readDense(paddr, dst, seg_len);
-        else
-            pm_.read(paddr, dst, seg_len);
+        pm_.read(paddr, dst, seg_len);
         dst += seg_len;
     });
 }
@@ -223,10 +220,7 @@ Mmu::storeData(sim::SimThread &t, Addr va, const void *in,
     forSegments(va, len, [&](Addr seg_va, std::size_t seg_len) {
         const Addr paddr = translate(t, seg_va, true, false);
         chargeAccess(t, t.core(), paddr, seg_len, true);
-        if (fast_mem_)
-            pm_.writeDense(paddr, src, seg_len);
-        else
-            pm_.write(paddr, src, seg_len);
+        pm_.write(paddr, src, seg_len);
         src += seg_len;
     });
 }
@@ -254,16 +248,13 @@ Mmu::loadCap(sim::SimThread &t, Addr va)
     for (;;) {
         Pte snapshot;
         const Addr paddr = translate(t, va, false, false, &snapshot);
-        // Lockstep fast path: resolve the frame once and reuse the
-        // reference across the charge below. paddr -> frame is
-        // immutable (frames are never erased), so the two reads see
-        // exactly what the two per-call resolves would; the tag is
-        // still read before the charge and the bits after it.
-        const mem::Frame *fr =
-            fast_mem_ ? &pm_.frameDense(pageOf(paddr)) : nullptr;
+        // Resolve the frame once and reuse the reference across the
+        // charge below. paddr -> frame is immutable (frames are never
+        // erased); the tag is still read before the charge and the
+        // bits after it.
+        const mem::Frame &fr = pm_.frame(pageOf(paddr));
         const std::size_t gi = mem::PhysMem::granuleIndex(paddr);
-        const bool tagged =
-            fast_mem_ ? fr->testTag(gi) : pm_.tagAt(paddr);
+        const bool tagged = fr.testTag(gi);
 
         // The load barrier: a tagged load from a stale-generation page
         // (or an always-trap page, §7.6) traps before the value
@@ -280,17 +271,9 @@ Mmu::loadCap(sim::SimThread &t, Addr va)
 
         chargeAccess(t, core, paddr, kGranuleSize, false);
         cap::CapBits bits;
-        bool tag;
-        if (fast_mem_) {
-            std::memcpy(&bits.lo,
-                        fr->bytes.data() + pageOffset(paddr), 8);
-            std::memcpy(&bits.hi,
-                        fr->bytes.data() + pageOffset(paddr) + 8, 8);
-            tag = fr->testTag(gi);
-        } else {
-            tag = pm_.loadCap(paddr, bits);
-        }
-        cap::Capability c = cap::decode(bits, tag);
+        std::memcpy(&bits.lo, fr.bytes.data() + pageOffset(paddr), 8);
+        std::memcpy(&bits.hi, fr.bytes.data() + pageOffset(paddr) + 8, 8);
+        cap::Capability c = cap::decode(bits, fr.testTag(gi));
         // CHERIoT-style inline filter (§6.3): strip revoked
         // capabilities on their way into the register file.
         if (c.tag && filter_ && filter_(t, c))
@@ -310,10 +293,7 @@ Mmu::storeCap(sim::SimThread &t, Addr va, const cap::Capability &c)
     CREV_ASSERT(va % kGranuleSize == 0);
     const Addr paddr = translate(t, va, true, c.tag);
     chargeAccess(t, t.core(), paddr, kGranuleSize, true);
-    if (fast_mem_)
-        pm_.storeCapDense(paddr, cap::encode(c), c.tag);
-    else
-        pm_.storeCap(paddr, cap::encode(c), c.tag);
+    pm_.storeCap(paddr, cap::encode(c), c.tag);
     if (c.tag) {
         Pte *p = as_.findPte(va);
         CREV_ASSERT(p != nullptr);
@@ -329,30 +309,15 @@ Mmu::storeCap(sim::SimThread &t, Addr va, const cap::Capability &c)
     }
 }
 
-void
-Mmu::setHostFastPaths(bool on)
-{
-    host_fast_paths_ = on;
-    cached_pte_ = nullptr;
-}
-
-void
-Mmu::setFastTlb(bool on)
-{
-    fast_mem_ = on;
-    for (Tlb &tlb : tlbs_)
-        tlb.setFastIndex(on);
-}
-
 Pte *
 Mmu::findPteCached(Addr va)
 {
     const Addr vpn = pageOf(va);
-    if (host_fast_paths_ && cached_pte_ != nullptr &&
-        cached_vpn_ == vpn && cached_pt_epoch_ == as_.pageTableEpoch())
+    if (cached_pte_ != nullptr && cached_vpn_ == vpn &&
+        cached_pt_epoch_ == as_.pageTableEpoch())
         return cached_pte_;
     Pte *p = as_.findPte(va);
-    if (host_fast_paths_ && p != nullptr) {
+    if (p != nullptr) {
         cached_vpn_ = vpn;
         cached_pte_ = p;
         cached_pt_epoch_ = as_.pageTableEpoch();
@@ -369,8 +334,7 @@ Mmu::kernelLoadCap(sim::SimThread &t, Addr va)
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
     chargeAccess(t, t.core(), paddr, kGranuleSize, false);
     cap::CapBits bits;
-    const bool tag = fast_mem_ ? pm_.loadCapDense(paddr, bits)
-                               : pm_.loadCap(paddr, bits);
+    const bool tag = pm_.loadCap(paddr, bits);
     return cap::decode(bits, tag);
 }
 
@@ -381,22 +345,7 @@ Mmu::kernelClearTag(sim::SimThread &t, Addr va)
     CREV_ASSERT(p != nullptr && p->valid);
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
     chargeAccess(t, t.core(), paddr, 1, true);
-    if (fast_mem_)
-        pm_.clearTagDense(paddr);
-    else
-        pm_.clearTag(paddr);
-}
-
-cap::Capability
-Mmu::peekCap(Addr va)
-{
-    Pte *p = findPteCached(va);
-    CREV_ASSERT(p != nullptr && p->valid);
-    const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
-    cap::CapBits bits;
-    const bool tag = fast_mem_ ? pm_.loadCapDense(paddr, bits)
-                               : pm_.loadCap(paddr, bits);
-    return cap::decode(bits, tag);
+    pm_.clearTag(paddr);
 }
 
 bool
@@ -406,7 +355,7 @@ Mmu::peekTag(Addr va)
     if (p == nullptr || !p->valid)
         return false;
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
-    return fast_mem_ ? pm_.tagAtDense(paddr) : pm_.tagAt(paddr);
+    return pm_.tagAt(paddr);
 }
 
 unsigned
@@ -451,18 +400,13 @@ Mmu::peekByte(Addr va, std::uint8_t *out)
     Pte *p = findPteCached(va);
     if (p == nullptr || !p->valid)
         return false;
-    if (fast_mem_)
-        pm_.readDense((p->pfn << kPageBits) | pageOffset(va), out, 1);
-    else
-        pm_.read((p->pfn << kPageBits) | pageOffset(va), out, 1);
+    pm_.read((p->pfn << kPageBits) | pageOffset(va), out, 1);
     return true;
 }
 
 bool
 Mmu::tryKernelShadowLoad(sim::SimThread &t, Addr va, std::uint8_t *out)
 {
-    if (!host_fast_paths_)
-        return false;
     const unsigned core = t.core();
     const Pte *cached = tlbs_[core].peek(pageOf(va));
     if (cached == nullptr || !cached->valid)
@@ -471,10 +415,7 @@ Mmu::tryKernelShadowLoad(sim::SimThread &t, Addr va, std::uint8_t *out)
     // charged access, no fill, no fault classification.
     const Addr paddr = (cached->pfn << kPageBits) | pageOffset(va);
     chargeAccess(t, core, paddr, 1, false);
-    if (fast_mem_)
-        pm_.readDense(paddr, out, 1);
-    else
-        pm_.read(paddr, out, 1);
+    pm_.read(paddr, out, 1);
     return true;
 }
 

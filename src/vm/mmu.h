@@ -111,9 +111,6 @@ class Mmu
     /** Whether any granule of the page containing @p va is tagged
      *  right now (clean-page detection re-check; no cost). */
     bool pageHasTags(Addr va);
-    /** Capability peek with no cost (value already on-chip after a
-     *  charged line read). */
-    cap::Capability peekCap(Addr va);
     /** Charge a read of @p len bytes at @p va (sweep line fetches). */
     void chargeRead(sim::SimThread &t, Addr va, std::size_t len);
     /**
@@ -146,23 +143,6 @@ class Mmu
      */
     bool tryKernelShadowLoad(sim::SimThread &t, Addr va,
                              std::uint8_t *out);
-
-    /**
-     * Toggle host-side memoisation (translation/frame caching, nibble
-     * scans). Simulated charges are identical either way; the
-     * determinism test holds this invariant (DESIGN.md §9).
-     */
-    void setHostFastPaths(bool on);
-    bool hostFastPaths() const { return host_fast_paths_; }
-
-    /**
-     * Route every core's TLB through the open-addressed backing and
-     * the MMU's memory dispatch through PhysMem's inline dense
-     * variants (the lockstep engine's flat structures, DESIGN.md
-     * §14.4). TLB entry sets, hit/miss sequences, and every memory
-     * observable are identical either way.
-     */
-    void setFastTlb(bool on);
 
     /**
      * Drop the one-entry PTE cache. The cache is keyed by the address
@@ -279,9 +259,6 @@ class Mmu
     revoker::RecoveryManager *recovery_ = nullptr;
     check::SafetyOracle *oracle_ = nullptr;
 
-    bool host_fast_paths_ = true;
-    /** Lockstep-engine gate for PhysMem's inline dense variants. */
-    bool fast_mem_ = false;
     Addr cached_vpn_ = 0;
     Pte *cached_pte_ = nullptr;
     std::uint64_t cached_pt_epoch_ = 0;

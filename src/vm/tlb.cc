@@ -4,38 +4,21 @@
 
 namespace crev::vm {
 
-std::size_t
-Tlb::fastFindIndex(Addr vpn) const
+Tlb::Tlb(std::size_t capacity) : capacity_(capacity)
 {
-    for (std::size_t i = homeOf(vpn); slot_vpn_[i] != 0;
-         i = (i + 1) & slotMask())
-        if (slot_vpn_[i] == vpn)
-            return i;
-    return ~std::size_t{0};
-}
-
-void
-Tlb::fastInsert(Addr vpn, const Pte &pte)
-{
-    CREV_ASSERT(vpn != 0);
-    std::size_t i = homeOf(vpn);
-    while (slot_vpn_[i] != 0) {
-        if (slot_vpn_[i] == vpn) {
-            slot_pte_[i] = pte;
-            return;
-        }
-        i = (i + 1) & slotMask();
-    }
-    slot_vpn_[i] = vpn;
-    slot_pte_[i] = pte;
-    ++fast_size_;
+    // 4x capacity, power of two: load factor stays <= 0.25.
+    std::size_t n = 4;
+    while (n < capacity_ * 4)
+        n <<= 1;
+    slot_vpn_.assign(n, 0);
+    slot_pte_.assign(n, Pte{});
 }
 
 bool
-Tlb::fastErase(Addr vpn)
+Tlb::erase(Addr vpn)
 {
-    std::size_t i = fastFindIndex(vpn);
-    if (i == ~std::size_t{0})
+    std::size_t i = findIndex(vpn);
+    if (i == kNone)
         return false;
     // Backward-shift deletion: no tombstones, probes stay short.
     std::size_t j = i;
@@ -51,98 +34,50 @@ Tlb::fastErase(Addr vpn)
         }
     }
     slot_vpn_[i] = 0;
-    --fast_size_;
+    --size_;
     return true;
-}
-
-void
-Tlb::setFastIndex(bool on)
-{
-    if (on == fast_)
-        return;
-    fast_ = on;
-    if (on) {
-        // 4x capacity, power of two: load factor stays <= 0.25.
-        std::size_t n = 4;
-        while (n < capacity_ * 4)
-            n <<= 1;
-        slot_vpn_.assign(n, 0);
-        slot_pte_.assign(n, Pte{});
-        fast_size_ = 0;
-        // Migration order only affects slot layout, never membership
-        // or any simulated observable. lint: unordered-ok
-        for (const auto &[vpn, pte] : entries_)
-            fastInsert(vpn, pte);
-        entries_.clear();
-    } else {
-        for (std::size_t i = 0; i < slot_vpn_.size(); ++i)
-            if (slot_vpn_[i] != 0)
-                entries_[slot_vpn_[i]] = slot_pte_[i];
-        slot_vpn_.clear();
-        slot_pte_.clear();
-        fast_size_ = 0;
-    }
 }
 
 void
 Tlb::insert(Addr vpn, const Pte &pte)
 {
-    if (fast_) {
-        const std::size_t i = fastFindIndex(vpn);
-        if (i != ~std::size_t{0}) {
-            slot_pte_[i] = pte;
-            return;
-        }
-        if (fast_size_ >= capacity_) {
-            // FIFO eviction keeps runs deterministic; the queue may
-            // hold vpns already dropped by invalidatePage, so pop
-            // until an erase actually lands (same lazy scheme as the
-            // map backing).
-            while (!fifo_.empty()) {
-                const Addr victim = fifo_.front();
-                fifo_.pop_front();
-                if (fastErase(victim))
-                    break;
-            }
-        }
-        fifo_.push_back(vpn);
-        fastInsert(vpn, pte);
+    CREV_ASSERT(vpn != 0);
+    const std::size_t found = findIndex(vpn);
+    if (found != kNone) {
+        slot_pte_[found] = pte;
         return;
     }
-    if (entries_.count(vpn) == 0) {
-        if (entries_.size() >= capacity_) {
-            // FIFO eviction keeps runs deterministic.
-            while (!fifo_.empty()) {
-                const Addr victim = fifo_.front();
-                fifo_.pop_front();
-                if (entries_.erase(victim) > 0)
-                    break;
-            }
+    if (size_ >= capacity_) {
+        // FIFO eviction keeps runs deterministic; the queue may hold
+        // vpns already dropped by invalidatePage, so pop until an
+        // erase actually lands.
+        while (!fifo_.empty()) {
+            const Addr victim = fifo_.front();
+            fifo_.pop_front();
+            if (erase(victim))
+                break;
         }
-        fifo_.push_back(vpn);
     }
-    entries_[vpn] = pte;
+    fifo_.push_back(vpn);
+    std::size_t i = homeOf(vpn);
+    while (slot_vpn_[i] != 0)
+        i = (i + 1) & slotMask();
+    slot_vpn_[i] = vpn;
+    slot_pte_[i] = pte;
+    ++size_;
 }
 
 void
 Tlb::invalidatePage(Addr vpn)
 {
-    if (fast_) {
-        fastErase(vpn);
-        return;
-    }
-    entries_.erase(vpn);
+    erase(vpn);
 }
 
 void
 Tlb::invalidateAll()
 {
-    if (fast_) {
-        slot_vpn_.assign(slot_vpn_.size(), 0);
-        fast_size_ = 0;
-    } else {
-        entries_.clear();
-    }
+    slot_vpn_.assign(slot_vpn_.size(), 0);
+    size_ = 0;
     fifo_.clear();
 }
 

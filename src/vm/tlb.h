@@ -7,11 +7,8 @@
  * revoker updates a PTE's generation or permissions — invalidate a
  * single page on every core and are charged to the updater.
  *
- * Two interchangeable host-side backings (DESIGN.md §14.4): the
- * original unordered_map, and a small open-addressed linear-probe
- * table with backward-shift deletion used under the lockstep engine.
- * Entry set, FIFO eviction order, and hit/miss sequences are identical
- * between the two — the switch is invisible to simulated state.
+ * The backing is a small open-addressed linear-probe table with
+ * backward-shift deletion (DESIGN.md §14.4).
  */
 
 #ifndef CREV_VM_TLB_H_
@@ -19,7 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.h"
@@ -31,7 +27,7 @@ namespace crev::vm {
 class Tlb
 {
   public:
-    explicit Tlb(std::size_t capacity = 128) : capacity_(capacity) {}
+    explicit Tlb(std::size_t capacity = 128);
 
     /** Look up @p vpn; returns nullptr on miss. */
     const Pte *
@@ -53,10 +49,8 @@ class Tlb
     const Pte *
     peek(Addr vpn) const
     {
-        if (fast_)
-            return fastFind(vpn);
-        auto it = entries_.find(vpn);
-        return it == entries_.end() ? nullptr : &it->second;
+        const std::size_t i = findIndex(vpn);
+        return i == kNone ? nullptr : &slot_pte_[i];
     }
 
     /** Install a translation, evicting FIFO if full. */
@@ -67,13 +61,6 @@ class Tlb
 
     /** Drop everything (e.g. on generation flip). */
     void invalidateAll();
-
-    /**
-     * Switch to (or from) the open-addressed backing. Existing entries
-     * migrate; FIFO order is preserved (the queue is shared between
-     * backings). Pure host-side switch.
-     */
-    void setFastIndex(bool on);
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -91,34 +78,30 @@ class Tlb
                slotMask();
     }
 
-    /**
-     * Probe the key array only (structure-of-arrays: the whole vpn
-     * array is a few hundred bytes, so probes stay in host L1; PTE
-     * payloads are touched only on a hit). Vpn 0 marks an empty slot
-     * — the zero page is never mapped, the heap starts at kHeapBase.
-     */
-    const Pte *
-    fastFind(Addr vpn) const
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** Index of @p vpn's slot, or kNone when absent. */
+    std::size_t
+    findIndex(Addr vpn) const
     {
         for (std::size_t i = homeOf(vpn); slot_vpn_[i] != 0;
              i = (i + 1) & slotMask())
             if (slot_vpn_[i] == vpn)
-                return &slot_pte_[i];
-        return nullptr;
+                return i;
+        return kNone;
     }
 
-    /** Index of @p vpn's slot, or npos when absent. */
-    std::size_t fastFindIndex(Addr vpn) const;
-    void fastInsert(Addr vpn, const Pte &pte);
-    bool fastErase(Addr vpn);
+    /** Backward-shift delete; false when @p vpn is absent. */
+    bool erase(Addr vpn);
 
     std::size_t capacity_;
-    std::unordered_map<Addr, Pte> entries_;
     std::deque<Addr> fifo_;
-    bool fast_ = false;
-    std::vector<Addr> slot_vpn_; //!< open-addressed keys (0 = empty)
-    std::vector<Pte> slot_pte_;  //!< payloads, parallel to slot_vpn_
-    std::size_t fast_size_ = 0;
+    /** Open-addressed keys (0 = empty: the zero page is never mapped).
+     *  Structure-of-arrays, so probes touch only this small array and
+     *  PTE payloads are read only on a hit. */
+    std::vector<Addr> slot_vpn_;
+    std::vector<Pte> slot_pte_; //!< payloads, parallel to slot_vpn_
+    std::size_t size_ = 0;
     mutable std::uint64_t hits_ = 0;
     mutable std::uint64_t misses_ = 0;
 };

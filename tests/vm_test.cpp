@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cap/compression.h"
 #include "kern/kernel.h"
@@ -146,6 +147,78 @@ TEST(Tlb, FifoEviction)
     EXPECT_EQ(tlb.lookup(1), nullptr);
     EXPECT_NE(tlb.lookup(2), nullptr);
     EXPECT_NE(tlb.lookup(3), nullptr);
+}
+
+/** Home slot of @p vpn in a Tlb(4) (16 slots): the table's Fibonacci
+ *  hash, replicated so the test can pick colliding vpns. */
+std::size_t
+tlb4Home(Addr vpn)
+{
+    return static_cast<std::size_t>((vpn * 0x9E3779B97F4A7C15ull) >> 32) &
+           15;
+}
+
+/** The first @p n vpns (from 1 up) whose home slot is @p home. */
+std::vector<Addr>
+vpnsWithHome(std::size_t home, std::size_t n)
+{
+    std::vector<Addr> out;
+    for (Addr vpn = 1; out.size() < n; ++vpn)
+        if (tlb4Home(vpn) == home)
+            out.push_back(vpn);
+    return out;
+}
+
+/**
+ * The open-addressed backing under collisions: three vpns share the
+ * last slot, so their probe chain wraps to the front of the table, and
+ * a fourth vpn whose home is slot 0 sits behind them. Invalidating from
+ * the middle of the wrapped chain must backward-shift every later entry
+ * so all of them stay reachable. A re-inserted vpn joins the FIFO
+ * queue again, but its first queue entry is older, so it is evicted in
+ * its original turn.
+ */
+TEST(Tlb, CollidingVpnsSurviveMidChainInvalidateAndEvictFifo)
+{
+    Tlb tlb(4);
+    const std::vector<Addr> tail = vpnsWithHome(15, 3);
+    const Addr front = vpnsWithHome(0, 1)[0];
+    const Addr a = tail[0], b = tail[1], c = tail[2], d = front;
+    Pte p;
+    p.valid = true;
+    for (Addr vpn : {a, b, c, d}) {
+        p.pfn = vpn;
+        tlb.insert(vpn, p);
+    }
+
+    tlb.invalidatePage(b); // slot 0: the middle of the wrapped chain
+    EXPECT_EQ(tlb.lookup(b), nullptr);
+    for (Addr vpn : {a, c, d}) {
+        const Pte *e = tlb.lookup(vpn);
+        ASSERT_NE(e, nullptr) << "vpn " << vpn;
+        EXPECT_EQ(e->pfn, vpn);
+    }
+    EXPECT_EQ(tlb.hits(), 3u);
+    EXPECT_EQ(tlb.misses(), 1u);
+
+    p.pfn = b;
+    tlb.insert(b, p); // back to 4 entries: no eviction
+    for (Addr vpn : {a, b, c, d})
+        EXPECT_NE(tlb.lookup(vpn), nullptr) << "vpn " << vpn;
+
+    // FIFO queue: a, b, c, d, b. Each new vpn evicts the next one.
+    const Addr e = vpnsWithHome(7, 1)[0];
+    const Addr f = vpnsWithHome(8, 1)[0];
+    tlb.insert(e, p);
+    EXPECT_EQ(tlb.lookup(a), nullptr);
+    EXPECT_NE(tlb.lookup(b), nullptr);
+    tlb.insert(f, p);
+    EXPECT_EQ(tlb.lookup(b), nullptr);
+    for (Addr vpn : {c, d, e, f})
+        EXPECT_NE(tlb.lookup(vpn), nullptr) << "vpn " << vpn;
+
+    EXPECT_EQ(tlb.hits(), 3u + 4u + 1u + 4u);
+    EXPECT_EQ(tlb.misses(), 1u + 1u + 1u);
 }
 
 TEST(Mmu, DemandFaultChargedOnce)
@@ -322,7 +395,6 @@ TEST(Mmu, KernelPathsBypassBarrierAndDirtyTracking)
 TEST(Mmu, PteCacheInvalidatedAcrossEpochFlip)
 {
     VmHarness h;
-    h.mmu.setHostFastPaths(true); // the cache under test
     int faults = 0;
     h.mmu.setLoadFaultHandler([&](sim::SimThread &t, Addr va) {
         ++faults;

@@ -7,9 +7,15 @@ run's contract held; this tool turns those self-reports into a CI
 gate. The file kind is dispatched on the top-level "bench" key.
 
 bench_all trajectory files (DESIGN.md §9):
-  - every run's "end_to_end.sim_results_match" must be true;
+  - every run's "end_to_end.sim_results_match" must be true (the
+    serial token engine leg, "reference_serial", and the lockstep
+    legs produced identical RunMetrics; runs recorded before the host
+    structures were unified ran the reference leg with the fast paths
+    off as well);
   - every run's sweep_microbench rows must have "sim_cycles_match"
-    true;
+    true (simulated cycles per page equal across every trial of the
+    sweep; runs recorded before the reference sweep was deleted
+    compared the fast sweep against it instead);
   - runs carrying an "intra_cell" record (DESIGN.md §14) must have
     "sim_results_match" true (serial token engine and lockstep engine
     produced identical RunMetrics) and "intra_cell_speedup" >= 1.0
@@ -74,8 +80,7 @@ def check_trajectory_runs(runs):
             if row.get("sim_cycles_match") is not True:
                 fail(
                     f'run "{label}" regime "{row.get("regime")}": '
-                    "simulated cycles diverged between fast and "
-                    "reference sweeps"
+                    "simulated sweep cycles diverged"
                 )
         e2e = run.get("end_to_end", {})
         if e2e.get("sim_results_match") is not True:

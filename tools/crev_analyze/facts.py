@@ -58,8 +58,7 @@ _ON_HOOK = re.compile(r"on[A-Z]\w*\Z")
 
 #: Uncharged accessors and the charging APIs that account for them.
 UNCHARGED_ACCESSORS = frozenset(
-    ("peekTag", "peekCap", "peekByte", "peekLineTagNibble",
-     "probeQuiet"))
+    ("peekTag", "peekByte", "peekLineTagNibble", "probeQuiet"))
 CHARGE_NAMES = frozenset(
     ("chargeRead", "chargeWrite", "chargeReadPaddr", "chargeAccess"))
 
