@@ -14,7 +14,7 @@
  * Simulated results are identical in every mode — this binary measures
  * how fast the *simulator* runs, and doubles as a regression gate for
  * the determinism contract (it fails loudly if simulated cycles per
- * page vary across sweep trials, or if the engines disagree).
+ * page vary across sweep trials, or if any two e2e legs disagree).
  *
  * Usage: bench_all [--quick] [--out FILE] [--label NAME] [--threads N]
  *   --quick: small cell set for CI smoke runs.
@@ -112,15 +112,9 @@ addCells(ParallelRunner &runner, bool quick)
 }
 
 double
-timedRun(bool quick, unsigned threads, bool lockstep,
-         const std::string &cost_file, std::vector<CellResult> *results_out)
+timedRun(bool quick, unsigned threads, const std::string &cost_file,
+         std::vector<CellResult> *results_out)
 {
-    // The cells build their MachineConfigs internally; the env knob
-    // is the global default they pick up. Set before any worker
-    // exists — parallelMap with 1 worker runs inline on this thread.
-    // CREV_PAR_CORES selects the engine (DESIGN.md §14): 0 pins the
-    // serial token engine, 1 the lockstep engine.
-    setenv("CREV_PAR_CORES", lockstep ? "1" : "0", 1);
     ParallelRunner runner;
     runner.setCostFile(cost_file);
     addCells(runner, quick);
@@ -168,7 +162,7 @@ readPreviousRuns(const std::string &path)
 }
 
 /** The simulated-result fields compared across host configurations
- *  (and across engines): a summary fingerprint of the run. */
+ *  and trials: a summary fingerprint of the run. */
 bool
 sameMetrics(const core::RunMetrics &a, const core::RunMetrics &b)
 {
@@ -200,87 +194,12 @@ sameSimResults(const std::vector<CellResult> &a,
     return true;
 }
 
-struct IntraCellResult
-{
-    std::string cell;
-    double serial_seconds = 0;
-    double lockstep_seconds = 0;
-    bool match = true;
-};
-
-/**
- * Serial token engine vs lockstep engine on the heaviest single cell
- * (DESIGN.md §14): interleaved engine pairs with the minimum host
- * time kept per engine — the same noise treatment as the microbench —
- * and RunMetrics required identical both between engines and across
- * trials of the same engine.
- */
-IntraCellResult
-measureIntraCell(bool quick)
-{
-    IntraCellResult r;
-    // Full mode takes the heaviest cell of the set (omnetpp/reloaded
-    // is handoff- and revocation-dense); quick mode a light one.
-    const char *profile = quick ? "hmmer_retro" : "omnetpp";
-    r.cell = std::string("spec/") + profile + "/reloaded";
-    const workload::SpecProfile &prof = workload::specProfile(profile);
-    auto run_once = [&prof](bool lockstep, double *secs) {
-        setenv("CREV_PAR_CORES", lockstep ? "1" : "0", 1);
-        const auto start = std::chrono::steady_clock::now();
-        core::RunMetrics m =
-            workload::runSpecOn(core::Strategy::kReloaded, prof);
-        *secs = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-        return m;
-    };
-    // Three pairs even in quick mode: the quick cell's window is only
-    // tens of milliseconds, so the min needs more draws to dodge host
-    // noise (the CI gate requires speedup >= 1.0).
-    const std::size_t pairs = 3;
-    core::RunMetrics serial_m, lockstep_m;
-    for (std::size_t k = 0; k < pairs; ++k) {
-        std::fprintf(stderr, "  intra-cell pair %zu/%zu (%s)...\n",
-                     k + 1, pairs, r.cell.c_str());
-        double ss = 0, ls = 0;
-        core::RunMetrics sm = run_once(false, &ss);
-        core::RunMetrics lm = run_once(true, &ls);
-        if (!sameMetrics(sm, lm)) {
-            std::fprintf(stderr,
-                         "FAIL: %s simulated results differ between "
-                         "serial and lockstep engines\n",
-                         r.cell.c_str());
-            r.match = false;
-        }
-        if (k == 0) {
-            r.serial_seconds = ss;
-            r.lockstep_seconds = ls;
-            serial_m = std::move(sm);
-            lockstep_m = std::move(lm);
-        } else {
-            r.serial_seconds = std::min(r.serial_seconds, ss);
-            r.lockstep_seconds = std::min(r.lockstep_seconds, ls);
-            if (!sameMetrics(sm, serial_m) ||
-                !sameMetrics(lm, lockstep_m)) {
-                std::fprintf(stderr,
-                             "FAIL: %s simulated results vary across "
-                             "intra-cell trials\n",
-                             r.cell.c_str());
-                r.match = false;
-            }
-        }
-    }
-    return r;
-}
-
 struct AllocShardResult
 {
     unsigned alloc_cores = 4;
     int iters = 0;
-    double single_serial_seconds = 0;
-    double single_lockstep_seconds = 0;
-    double sharded_serial_seconds = 0;
-    double sharded_lockstep_seconds = 0;
+    double single_seconds = 0;
+    double sharded_seconds = 0;
     std::uint64_t remote_free_sends = 0;
     bool match = true;
 };
@@ -289,13 +208,12 @@ struct AllocShardResult
  *  consumer freeing on core 1, so with alloc_cores > 1 every consumer
  *  free rides the remote-dealloc message queues (DESIGN.md §15). */
 core::RunMetrics
-runXcoreCell(unsigned alloc_cores, bool lockstep, int iters)
+runXcoreCell(unsigned alloc_cores, int iters)
 {
     core::MachineConfig cfg;
     cfg.strategy = core::Strategy::kReloaded;
     cfg.policy.min_bytes = 64 * 1024;
     cfg.alloc_cores = alloc_cores;
-    cfg.par_cores = lockstep;
     cfg.seed = 5;
     core::Machine m(cfg);
     auto queue = std::make_shared<std::vector<cap::Capability>>();
@@ -327,11 +245,11 @@ runXcoreCell(unsigned alloc_cores, bool lockstep, int iters)
 
 /**
  * Sharded-allocator A/B: the cross-core-free cell at alloc_cores = 1
- * (single-heap reference) and alloc_cores = 4, each under both
- * engines. Engine pairs are interleaved with the minimum host time
- * kept, like the intra-cell comparison; RunMetrics must be identical
- * between engines at each shard count (across shard counts they
- * legitimately differ — that is the simulated topology changing).
+ * (single-heap reference) and alloc_cores = 4, with the minimum host
+ * time over three trials kept per shard count. RunMetrics must be
+ * identical across the trials of a shard count (across shard counts
+ * they legitimately differ — that is the simulated topology
+ * changing).
  */
 AllocShardResult
 measureAllocShard(bool quick)
@@ -344,58 +262,41 @@ measureAllocShard(bool quick)
     // min_leg_seconds floor.
     const int iters = quick ? 30000 : 60000;
     r.iters = iters;
-    const std::size_t pairs = 3;
+    const std::size_t trials = 3;
     for (const bool sharded : {false, true}) {
         const unsigned ac = sharded ? r.alloc_cores : 1;
-        core::RunMetrics serial_m, lockstep_m;
-        double best_s = 0, best_l = 0;
-        for (std::size_t k = 0; k < pairs; ++k) {
+        core::RunMetrics first;
+        double best = 0;
+        for (std::size_t k = 0; k < trials; ++k) {
             std::fprintf(stderr,
-                         "  alloc-shard pair %zu/%zu (alloc_cores "
+                         "  alloc-shard trial %zu/%zu (alloc_cores "
                          "%u)...\n",
-                         k + 1, pairs, ac);
-            auto once = [&](bool lockstep, double *secs) {
-                const auto start = std::chrono::steady_clock::now();
-                core::RunMetrics m = runXcoreCell(ac, lockstep, iters);
-                *secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-                return m;
-            };
-            double ss = 0, ls = 0;
-            core::RunMetrics sm = once(false, &ss);
-            core::RunMetrics lm = once(true, &ls);
-            if (!sameMetrics(sm, lm) ||
-                sm.quarantine.remote_free_sends !=
-                    lm.quarantine.remote_free_sends) {
+                         k + 1, trials, ac);
+            const auto start = std::chrono::steady_clock::now();
+            core::RunMetrics m = runXcoreCell(ac, iters);
+            const double secs = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() -
+                                    start)
+                                    .count();
+            if (k == 0) {
+                best = secs;
+                first = std::move(m);
+                continue;
+            }
+            best = std::min(best, secs);
+            if (!sameMetrics(m, first) ||
+                m.quarantine.remote_free_sends !=
+                    first.quarantine.remote_free_sends) {
                 std::fprintf(stderr,
                              "FAIL: alloc_cores %u simulated results "
-                             "differ between engines\n",
+                             "vary across trials\n",
                              ac);
                 r.match = false;
             }
-            if (k == 0) {
-                best_s = ss;
-                best_l = ls;
-                serial_m = std::move(sm);
-                lockstep_m = std::move(lm);
-            } else {
-                best_s = std::min(best_s, ss);
-                best_l = std::min(best_l, ls);
-                if (!sameMetrics(sm, serial_m) ||
-                    !sameMetrics(lm, lockstep_m)) {
-                    std::fprintf(stderr,
-                                 "FAIL: alloc_cores %u simulated "
-                                 "results vary across trials\n",
-                                 ac);
-                    r.match = false;
-                }
-            }
         }
         if (sharded) {
-            r.sharded_serial_seconds = best_s;
-            r.sharded_lockstep_seconds = best_l;
-            r.remote_free_sends = serial_m.quarantine.remote_free_sends;
+            r.sharded_seconds = best;
+            r.remote_free_sends = first.quarantine.remote_free_sends;
             if (r.remote_free_sends == 0) {
                 std::fprintf(stderr,
                              "FAIL: sharded cell drove no remote "
@@ -403,9 +304,8 @@ measureAllocShard(bool quick)
                 r.match = false;
             }
         } else {
-            r.single_serial_seconds = best_s;
-            r.single_lockstep_seconds = best_l;
-            if (serial_m.quarantine.remote_free_sends != 0) {
+            r.single_seconds = best;
+            if (first.quarantine.remote_free_sends != 0) {
                 std::fprintf(stderr,
                              "FAIL: single-heap cell sent remote "
                              "frees\n");
@@ -499,71 +399,46 @@ main(int argc, char **argv)
                     row.fast.host_ns_per_page,
                     row.fast.sim_cycles_per_page);
 
-    // --- end-to-end cell set, three host configurations ---
-    // reference-serial is the serial token engine on one thread;
-    // fast-serial is the lockstep engine on one thread; fast-parallel
-    // adds the thread pool. Simulated results must be identical in all
-    // three. Two interleaved legs, minimum kept per configuration —
-    // the same noise treatment as the microbench.
+    // --- end-to-end cell set, two host configurations ---
+    // serial runs the cells one after another on one host thread;
+    // parallel spreads them across the thread pool. Simulated results
+    // must be identical in every leg. Two interleaved rounds, minimum
+    // kept per configuration — the same noise treatment as the
+    // microbench.
     const unsigned threads = threads_flag != 0
                                  ? threads_flag
                                  : benchutil::benchThreads();
-    const std::size_t legs = 2;
-    double ref_serial_secs = 0, serial_secs = 0, parallel_secs = 0;
-    std::vector<CellResult> ref_cells, cells;
-    for (std::size_t leg = 0; leg < legs; ++leg) {
+    const std::size_t rounds = 2;
+    double serial_secs = 0, parallel_secs = 0;
+    std::vector<CellResult> cells;
+    for (std::size_t round = 0; round < rounds; ++round) {
+        std::fprintf(stderr, "  e2e round %zu/%zu: 1 host thread...\n",
+                     round + 1, rounds);
+        std::vector<CellResult> sc;
+        const double s = timedRun(quick, 1, out_path, &sc);
         std::fprintf(stderr,
-                     "  e2e leg %zu/%zu: serial token engine...\n",
-                     leg + 1, legs);
-        std::vector<CellResult> rc;
-        const double r = timedRun(quick, 1, false, out_path, &rc);
-        std::fprintf(stderr,
-                     "  e2e leg %zu/%zu: lockstep engine...\n",
-                     leg + 1, legs);
-        const double s = timedRun(quick, 1, true, out_path, nullptr);
-        std::fprintf(stderr,
-                     "  e2e leg %zu/%zu: %u host threads...\n",
-                     leg + 1, legs, threads);
+                     "  e2e round %zu/%zu: %u host threads...\n",
+                     round + 1, rounds, threads);
         std::vector<CellResult> pc;
-        const double p =
-            timedRun(quick, threads, true, out_path, &pc);
-        determinism_ok = determinism_ok && sameSimResults(rc, pc);
-        if (leg == 0) {
-            ref_serial_secs = r;
+        const double p = timedRun(quick, threads, out_path, &pc);
+        determinism_ok = determinism_ok && sameSimResults(sc, pc);
+        if (round == 0) {
             serial_secs = s;
             parallel_secs = p;
-            ref_cells = std::move(rc);
             cells = std::move(pc);
         } else {
-            ref_serial_secs = std::min(ref_serial_secs, r);
             serial_secs = std::min(serial_secs, s);
             parallel_secs = std::min(parallel_secs, p);
-            determinism_ok =
-                determinism_ok && sameSimResults(ref_cells, rc);
+            determinism_ok = determinism_ok &&
+                             sameSimResults(cells, sc) &&
+                             sameSimResults(cells, pc);
         }
     }
 
     std::printf("\nend-to-end cell set (%zu cells):\n", cells.size());
-    std::printf("  serial token engine:           %.2fs\n",
-                ref_serial_secs);
-    std::printf("  lockstep engine:               %.2fs (%.2fx)\n",
-                serial_secs, ref_serial_secs / serial_secs);
-    std::printf("  lockstep engine (%2u threads):  %.2fs (%.2fx "
-                "vs serial token engine)\n",
-                threads, parallel_secs,
-                ref_serial_secs / parallel_secs);
-
-    // --- intra-cell engine comparison (DESIGN.md §14) ---
-    std::fprintf(stderr, "  intra-cell engine comparison...\n");
-    const IntraCellResult intra = measureIntraCell(quick);
-    determinism_ok = determinism_ok && intra.match;
-    std::printf("\nintra-cell engine comparison (%s):\n",
-                intra.cell.c_str());
-    std::printf("  serial token engine:       %.2fs\n",
-                intra.serial_seconds);
-    std::printf("  lockstep engine:           %.2fs (%.2fx)\n",
-                intra.lockstep_seconds,
-                intra.serial_seconds / intra.lockstep_seconds);
+    std::printf("  1 host thread:    %.2fs\n", serial_secs);
+    std::printf("  %2u host threads:  %.2fs (%.2fx)\n", threads,
+                parallel_secs, serial_secs / parallel_secs);
 
     // --- sharded-allocator A/B (DESIGN.md §15) ---
     std::fprintf(stderr, "  sharded-allocator comparison...\n");
@@ -572,13 +447,9 @@ main(int argc, char **argv)
     std::printf("\nsharded allocator (cross-core producer/consumer, "
                 "alloc_cores 1 vs %u):\n",
                 ashard.alloc_cores);
-    std::printf("  single heap:  serial %.2fs, lockstep %.2fs\n",
-                ashard.single_serial_seconds,
-                ashard.single_lockstep_seconds);
-    std::printf("  %u shards:     serial %.2fs, lockstep %.2fs "
-                "(%llu remote frees)\n",
-                ashard.alloc_cores, ashard.sharded_serial_seconds,
-                ashard.sharded_lockstep_seconds,
+    std::printf("  single heap:  %.2fs\n", ashard.single_seconds);
+    std::printf("  %u shards:     %.2fs (%llu remote frees)\n",
+                ashard.alloc_cores, ashard.sharded_seconds,
                 static_cast<unsigned long long>(
                     ashard.remote_free_sends));
 
@@ -616,45 +487,25 @@ main(int argc, char **argv)
     std::fprintf(f, "      ],\n");
     std::fprintf(f,
                  "      \"end_to_end\": {\"cells\": %zu, "
-                 "\"reference_serial_seconds\": %.3f, "
                  "\"fast_serial_seconds\": %.3f, "
                  "\"fast_parallel_seconds\": %.3f, "
-                 "\"fast_path_speedup\": %.3f, "
                  "\"parallel_speedup\": %.3f, "
-                 "\"total_speedup\": %.3f, "
                  "\"sim_results_match\": %s},\n",
-                 cells.size(), ref_serial_secs, serial_secs,
-                 parallel_secs, ref_serial_secs / serial_secs,
+                 cells.size(), serial_secs, parallel_secs,
                  serial_secs / parallel_secs,
-                 ref_serial_secs / parallel_secs,
                  determinism_ok ? "true" : "false");
-    std::fprintf(f,
-                 "      \"intra_cell\": {\"cell\": \"%s\", "
-                 "\"serial_seconds\": %.3f, "
-                 "\"lockstep_seconds\": %.3f, "
-                 "\"intra_cell_speedup\": %.3f, "
-                 "\"sim_results_match\": %s},\n",
-                 benchutil::jsonEscape(intra.cell).c_str(),
-                 intra.serial_seconds, intra.lockstep_seconds,
-                 intra.serial_seconds / intra.lockstep_seconds,
-                 intra.match ? "true" : "false");
     std::fprintf(f,
                  "      \"alloc_shard\": "
                  "{\"regime\": \"xcore_producer_consumer\", "
                  "\"alloc_cores\": %u, "
                  "\"iters\": %d, "
                  "\"min_leg_seconds\": %.3f, "
-                 "\"single_serial_seconds\": %.3f, "
-                 "\"single_lockstep_seconds\": %.3f, "
-                 "\"sharded_serial_seconds\": %.3f, "
-                 "\"sharded_lockstep_seconds\": %.3f, "
+                 "\"single_seconds\": %.3f, "
+                 "\"sharded_seconds\": %.3f, "
                  "\"remote_free_sends\": %llu, "
                  "\"sim_results_match\": %s},\n",
                  ashard.alloc_cores, ashard.iters, 0.02,
-                 ashard.single_serial_seconds,
-                 ashard.single_lockstep_seconds,
-                 ashard.sharded_serial_seconds,
-                 ashard.sharded_lockstep_seconds,
+                 ashard.single_seconds, ashard.sharded_seconds,
                  static_cast<unsigned long long>(
                      ashard.remote_free_sends),
                  ashard.match ? "true" : "false");

@@ -72,7 +72,7 @@ constexpr Addr kMaxUnits =
  *
  * encode()/decode() below are inline: they sit on the MMU's per-access
  * capability load/store paths, where the cross-TU call cost is
- * measurable in both scheduler engines.
+ * measurable.
  */
 inline unsigned
 exponentFor(Addr length)

@@ -59,24 +59,13 @@ bool defaultCheck();
 bool defaultOracle();
 
 /**
- * Default for MachineConfig::par_cores: true (the lockstep engine)
- * unless the CREV_PAR_CORES environment variable is set to "0", which
- * selects the serial token engine. Both engines run the same host
- * lookup structures, and RunMetrics are bit-identical between them
- * (tests/determinism_test.cpp), so this is a pure host-side lever —
- * the only one.
- */
-bool defaultParCores();
-
-/**
  * Default for MachineConfig::alloc_cores: the CREV_ALLOC_CORES
  * environment variable when set, otherwise 1 — the single-heap
  * reference model. Values > 1 shard the allocator and quarantine
  * into per-core heaps with message-passing remote free (DESIGN.md
  * §15); this is a *simulated* structural change (quarantine growth
- * and paint/sweep dynamics differ by design), but for a fixed value
- * RunMetrics stay bit-identical between the serial and lockstep
- * engines (tests/determinism_test.cpp).
+ * and paint/sweep dynamics differ by design); each value's RunMetrics
+ * are pinned by tests/golden.
  */
 unsigned defaultAllocCores();
 
@@ -105,14 +94,6 @@ struct MachineConfig
 
     /** Run the whole-machine invariant audit after every epoch. */
     bool audit = false;
-
-    /** Engine selector (DESIGN.md §14): false = serial token engine;
-     *  true = lockstep engine on fibers. Both engines share one set of
-     *  host lookup structures (DESIGN.md §14.4). Multi-core simulated
-     *  machines default to the lockstep engine; single-core ones
-     *  always run the token engine. RunMetrics are bit-identical
-     *  between the engines and match tests/golden. */
-    bool par_cores = defaultParCores();
 
     /** Per-core allocator sharding (DESIGN.md §15): number of
      *  per-core heap shards. 1 = the single globally-locked heap (the

@@ -55,13 +55,6 @@ defaultOracle()
     return env != nullptr && std::strcmp(env, "0") != 0;
 }
 
-bool
-defaultParCores()
-{
-    const char *env = std::getenv("CREV_PAR_CORES");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
 unsigned
 defaultAllocCores()
 {
@@ -107,11 +100,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
             cfg.trace_buffer_events);
     ms_ = std::make_unique<mem::MemorySystem>(cfg.cores, cfg.l1,
                                               cfg.llc, cfg.latency);
-    // Single-core simulated machines keep the serial token engine:
-    // there is no cross-core interaction to resolve, so the lockstep
-    // machinery would be pure overhead.
-    sched_ = std::make_unique<sim::Scheduler>(
-        cfg.cores, cfg.costs, cfg.cores > 1 && cfg.par_cores);
+    sched_ = std::make_unique<sim::Scheduler>(cfg.cores, cfg.costs);
     sched_->setTracer(tracer_.get());
     if (cfg.check)
         checker_ = std::make_unique<check::RaceChecker>();

@@ -1,12 +1,36 @@
 #include "sim/scheduler.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "base/logging.h"
 #include "check/race_checker.h"
 #include "trace/trace.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CREV_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CREV_ASAN 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define CREV_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CREV_TSAN 1
+#endif
+#endif
+
+#ifdef CREV_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef CREV_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace crev::sim {
 
@@ -14,28 +38,22 @@ namespace {
 
 constexpr Cycles kInfinity = std::numeric_limits<Cycles>::max();
 
-#if CREV_SCHED_FIBERS
 /** Fiber stack size. Bodies are ordinary workload code; the generous
- *  size costs only address space (pages commit on first touch). */
+ *  size costs only address space, since the mapping is not reserved
+ *  and its pages commit on first touch. */
 constexpr std::size_t kFiberStackBytes = std::size_t{4} << 20;
-#endif
 
-/** Whether fiber execution is compiled in and not disabled via the
- *  CREV_FIBERS=0 escape hatch. */
-bool
-fibersEnabled()
+/** The PROT_NONE guard page mapped below each fiber stack. */
+std::size_t
+guardBytes()
 {
-    if (!CREV_SCHED_FIBERS)
-        return false;
-    const char *env = std::getenv("CREV_FIBERS");
-    return env == nullptr || env[0] != '0';
+    return static_cast<std::size_t>(getpagesize());
 }
 
 } // namespace
 
 namespace detail {
 
-#if CREV_SCHED_FIBERS
 void
 fiberTrampoline(unsigned hi, unsigned lo)
 {
@@ -46,108 +64,8 @@ fiberTrampoline(unsigned hi, unsigned lo)
         static_cast<std::uintptr_t>(lo));
     t->fiberMain();
 }
-#else
-void
-fiberTrampoline(unsigned, unsigned)
-{
-    panic("fiber trampoline entered without fiber support");
-}
-#endif
 
 } // namespace detail
-
-// ---------------------------------------------------------------------
-// Engines
-// ---------------------------------------------------------------------
-
-/**
- * The serial reference engine: one execution token, every cross-core
- * effect applied at the instant it is posted, in call order.
- */
-class TokenEngine final : public Scheduler::Engine
-{
-  public:
-    const char *name() const override { return "token"; }
-
-    void
-    deliverWakes(Scheduler &s, Scheduler::PendingWake *w,
-                 std::size_t n) override
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            s.applyWake(*w[i].t, w[i].at);
-    }
-
-    void
-    onResolutionPoint(Scheduler &) override
-    {
-    }
-
-    void
-    onGrant(Scheduler &, SimThread &) override
-    {
-    }
-};
-
-/**
- * The lockstep virtual-time engine (DESIGN.md §14): wakes are posted
- * to per-core mailboxes and resolved in fixed (core-id, thread-id)
- * order; the quantum frontier tracks the committing slice. Because
- * the simulated machine's shared state is zero-latency, resolution
- * happens at the posting slice's own commit point (the earliest
- * boundary the conservative contract permits) — see the equivalence
- * argument in DESIGN.md §14.2.
- */
-class LockstepEngine final : public Scheduler::Engine
-{
-  public:
-    const char *name() const override { return "lockstep"; }
-
-    void
-    deliverWakes(Scheduler &s, Scheduler::PendingWake *w,
-                 std::size_t n) override
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            s.mailboxes_[w[i].t->core()].push_back(w[i]);
-        s.pending_wakes_ += n;
-        resolve(s);
-    }
-
-    void
-    onResolutionPoint(Scheduler &s) override
-    {
-        resolve(s);
-    }
-
-    void
-    onGrant(Scheduler &s, SimThread &t) override
-    {
-        // Quantum-aligned floor of the committing slice's grant time:
-        // the frontier past which this slice cannot defer cross-core
-        // resolution.
-        s.frontier_ = (t.now() / s.cm_.quantum) * s.cm_.quantum;
-    }
-
-  private:
-    void
-    resolve(Scheduler &s)
-    {
-        if (s.pending_wakes_ == 0)
-            return;
-        for (auto &box : s.mailboxes_) {
-            if (box.empty())
-                continue;
-            std::stable_sort(box.begin(), box.end(),
-                             [](const Scheduler::PendingWake &a,
-                                const Scheduler::PendingWake &b) {
-                                 return a.t->id() < b.t->id();
-                             });
-            for (const auto &w : box)
-                s.applyWake(*w.t, w.at);
-            box.clear();
-        }
-        s.pending_wakes_ = 0;
-    }
-};
 
 // ---------------------------------------------------------------------
 // SimThread
@@ -161,6 +79,16 @@ SimThread::SimThread(Scheduler &sched, unsigned id, std::string name,
       regs_(kNumRegs)
 {
     CREV_ASSERT(core_mask_ != 0);
+}
+
+SimThread::~SimThread()
+{
+#ifdef CREV_TSAN
+    if (fiber_.tsan_fiber != nullptr)
+        __tsan_destroy_fiber(fiber_.tsan_fiber);
+#endif
+    if (stack_map_ != nullptr)
+        munmap(stack_map_, guardBytes() + kFiberStackBytes);
 }
 
 cap::Capability &
@@ -209,46 +137,12 @@ SimThread::sleepUntil(Cycles t)
 }
 
 void
-SimThread::threadMain()
-{
-    {
-        std::unique_lock<std::mutex> lk(sched_.mtx_);
-        cv_.wait(lk, [this] {
-            return status_ == ThreadStatus::kRunning ||
-                   sched_.tearing_down_;
-        });
-        if (status_ != ThreadStatus::kRunning) {
-            // Scheduler destroyed before run(): exit without ever
-            // executing the body.
-            status_ = ThreadStatus::kDone;
-            return;
-        }
-    }
-    try {
-        body_(*this);
-    } catch (const std::exception &e) {
-        // A simulated fault escaped the workload body: the simulated
-        // thread dies (as a signal would kill it); the machine runs on.
-        warn("thread %s terminated by: %s", name_.c_str(), e.what());
-    }
-    {
-        std::unique_lock<std::mutex> lk(sched_.mtx_);
-        status_ = ThreadStatus::kDone;
-        if (sched_.tracer_ != nullptr)
-            sched_.tracer_->record(id_, core_, clock_,
-                                   trace::EventType::kThreadPark);
-        sched_.core_free_at_[core_] = clock_;
-        sched_.current_ = nullptr;
-        sched_.sched_cv_.notify_one();
-    }
-}
-
-void
 SimThread::fiberMain()
 {
     // Entered on the first grant; status_ is already kRunning and the
     // scheduler mutex is not held (the granting context released it
     // before switching stacks).
+    sched_.finishSwitch(fiber_);
     try {
         body_(*this);
     } catch (const std::exception &e) {
@@ -256,7 +150,6 @@ SimThread::fiberMain()
         // thread dies (as a signal would kill it); the machine runs on.
         warn("thread %s terminated by: %s", name_.c_str(), e.what());
     }
-#if CREV_SCHED_FIBERS
     {
         std::unique_lock<std::mutex> lk(sched_.mtx_);
         status_ = ThreadStatus::kDone;
@@ -267,8 +160,7 @@ SimThread::fiberMain()
         sched_.current_ = nullptr;
     }
     // Return control to the run() driver, which picks the successor.
-    swapcontext(&fiber_ctx_, &sched_.sched_ctx_);
-#endif
+    sched_.switchContext(fiber_, sched_.driver_, /*from_exits=*/true);
     panic("finished fiber resumed");
 }
 
@@ -276,31 +168,12 @@ SimThread::fiberMain()
 // Scheduler
 // ---------------------------------------------------------------------
 
-Scheduler::Scheduler(unsigned num_cores, const CostModel &cm,
-                     bool lockstep)
-    : num_cores_(num_cores), cm_(cm), lockstep_(lockstep),
-      fibers_(lockstep && fibersEnabled()), core_free_at_(num_cores, 0),
-      core_last_thread_(num_cores, nullptr), mailboxes_(num_cores)
+Scheduler::Scheduler(unsigned num_cores, const CostModel &cm)
+    : num_cores_(num_cores), cm_(cm), core_free_at_(num_cores, 0),
+      core_last_thread_(num_cores, nullptr)
 {
     CREV_ASSERT(num_cores > 0 && num_cores <= 32);
     CREV_ASSERT(cm_.quantum > 0);
-    if (lockstep_)
-        engine_ = std::make_unique<LockstepEngine>();
-    else
-        engine_ = std::make_unique<TokenEngine>();
-}
-
-Scheduler::~Scheduler()
-{
-    {
-        std::unique_lock<std::mutex> lk(mtx_);
-        tearing_down_ = true;
-        for (auto &t : threads_)
-            t->cv_.notify_all();
-    }
-    for (auto &t : threads_)
-        if (t->host_.joinable())
-            t->host_.join();
 }
 
 SimThread *
@@ -320,22 +193,35 @@ Scheduler::spawn(std::string name, std::uint32_t core_mask,
         checker_->onThreadSpawn(
             current_ != nullptr ? static_cast<int>(current_->id_) : -1,
             id);
-#if CREV_SCHED_FIBERS
-    if (fibers_) {
-        t->fiber_stack_ = std::make_unique<char[]>(kFiberStackBytes);
-        CREV_ASSERT(getcontext(&t->fiber_ctx_) == 0);
-        t->fiber_ctx_.uc_stack.ss_sp = t->fiber_stack_.get();
-        t->fiber_ctx_.uc_stack.ss_size = kFiberStackBytes;
-        t->fiber_ctx_.uc_link = nullptr;
-        const auto p = reinterpret_cast<std::uintptr_t>(t);
-        makecontext(&t->fiber_ctx_,
-                    reinterpret_cast<void (*)()>(detail::fiberTrampoline),
-                    2, static_cast<unsigned>(p >> 32),
-                    static_cast<unsigned>(p & 0xFFFFFFFFu));
-        return t;
-    }
+
+    // The stack proper sits above a PROT_NONE guard page, so an
+    // overflow faults instead of overwriting a neighbouring mapping.
+    const std::size_t guard = guardBytes();
+    void *map = mmap(nullptr, guard + kFiberStackBytes,
+                     PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE |
+                         MAP_STACK,
+                     -1, 0);
+    if (map == MAP_FAILED)
+        panic("cannot map a fiber stack for thread %s", t->name_.c_str());
+    t->stack_map_ = map;
+    CREV_ASSERT(mprotect(map, guard, PROT_NONE) == 0);
+
+    detail::HostContext &f = t->fiber_;
+    f.stack_bottom = static_cast<char *>(map) + guard;
+    f.stack_size = kFiberStackBytes;
+#ifdef CREV_TSAN
+    f.tsan_fiber = __tsan_create_fiber(0);
 #endif
-    t->host_ = std::thread([t] { t->threadMain(); });
+    CREV_ASSERT(getcontext(&f.uc) == 0);
+    f.uc.uc_stack.ss_sp = const_cast<void *>(f.stack_bottom);
+    f.uc.uc_stack.ss_size = f.stack_size;
+    f.uc.uc_link = nullptr;
+    const auto p = reinterpret_cast<std::uintptr_t>(t);
+    makecontext(&f.uc,
+                reinterpret_cast<void (*)()>(detail::fiberTrampoline), 2,
+                static_cast<unsigned>(p >> 32),
+                static_cast<unsigned>(p & 0xFFFFFFFFu));
     return t;
 }
 
@@ -383,9 +269,9 @@ Scheduler::finished(SimThread const &t)
 Cycles
 Scheduler::maxClock() const
 {
-    // Thread clocks are written by their owning host threads; an
-    // off-token reader (metrics collection, the watchdog) must hold
-    // mtx_ so the hand-off orders the reads (sched-unlocked-read).
+    // Thread clocks are written by the token holder; an off-token
+    // reader (metrics collection, the watchdog) must hold mtx_ so the
+    // hand-off orders the reads (sched-unlocked-read).
     std::unique_lock<std::mutex> lk(mtx_);
     if (checker_ != nullptr)
         checker_->onSchedStateRead("maxClock", true);
@@ -514,12 +400,7 @@ Scheduler::grant(SimThread *t)
         tracer_->record(t->id_, c, t->clock_,
                         trace::EventType::kThreadRun);
     updateYieldHorizon(*t);
-    engine_->onGrant(*this, *t);
     current_ = t;
-    // Fiber mode: the granting context switches stacks itself; there
-    // is no parked host thread to notify.
-    if (!fibers_)
-        t->cv_.notify_one();
 }
 
 void
@@ -536,48 +417,27 @@ Scheduler::handoff(SimThread &self, ThreadStatus new_status)
                             : trace::EventType::kThreadPark);
     core_free_at_[self.core_] = self.clock_;
 
-    // A scheduling event is a resolution point: any cross-core effects
-    // still in flight are applied before the policy reads state.
-    engine_->onResolutionPoint(*this);
-
     // Direct switch: pick the successor here instead of bouncing
-    // through the scheduler loop (halves host context switches).
+    // through the run() driver.
     SimThread *next = chooseNext();
     if (next == &self) {
-        // Still the best candidate: continue without a host switch.
+        // Still the best candidate: continue without a stack switch.
         grant(next);
         return;
     }
-#if CREV_SCHED_FIBERS
-    if (fibers_) {
-        // User-space stack switch: directly into the successor fiber,
-        // or back to the run() driver when nothing is runnable
-        // (shutdown, deadlock detection). When this fiber is granted
-        // again, control resumes right after the swap with
-        // status_ == kRunning already set by the grantor.
-        ucontext_t *to;
-        if (next != nullptr) {
-            grant(next);
-            to = &next->fiber_ctx_;
-        } else {
-            current_ = nullptr;
-            to = &sched_ctx_;
-        }
-        lk.unlock();
-        swapcontext(&self.fiber_ctx_, to);
-        return;
-    }
-#endif
+    // Switch directly into the successor fiber, or back to the run()
+    // driver when nothing is runnable (shutdown, deadlock detection).
+    // When this fiber is granted again, control resumes right after
+    // the switch with status_ == kRunning already set by the grantor.
+    detail::HostContext *to = &driver_;
     if (next != nullptr) {
         grant(next);
+        to = &next->fiber_;
     } else {
-        // Nothing runnable: let the scheduler loop decide (shutdown,
-        // deadlock detection).
         current_ = nullptr;
-        sched_cv_.notify_one();
     }
-    self.cv_.wait(lk,
-                  [&self] { return self.status_ == ThreadStatus::kRunning; });
+    lk.unlock();
+    switchContext(self.fiber_, *to);
 }
 
 void
@@ -601,32 +461,56 @@ Scheduler::applyWake(SimThread &t, Cycles at)
 }
 
 void
-Scheduler::deliverWakesLocked(PendingWake *w, std::size_t n)
-{
-    engine_->deliverWakes(*this, w, n);
-}
-
-void
 Scheduler::wake(SimThread &t, Cycles at)
 {
     std::unique_lock<std::mutex> lk(mtx_);
-    if (t.status_ != ThreadStatus::kBlocked)
-        return;
-    PendingWake w{&t, at};
-    deliverWakesLocked(&w, 1);
+    if (t.status_ == ThreadStatus::kBlocked)
+        applyWake(t, at);
 }
 
 void
 Scheduler::wakeMany(SimThread *const *ts, std::size_t n, Cycles at)
 {
     std::unique_lock<std::mutex> lk(mtx_);
-    std::vector<PendingWake> batch;
-    batch.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         if (ts[i]->status_ == ThreadStatus::kBlocked)
-            batch.push_back(PendingWake{ts[i], at});
-    if (!batch.empty())
-        deliverWakesLocked(batch.data(), batch.size());
+            applyWake(*ts[i], at);
+}
+
+void
+Scheduler::switchContext(detail::HostContext &from,
+                         detail::HostContext &to, bool from_exits)
+{
+    switch_from_ = &from;
+#ifdef CREV_ASAN
+    // A null save slot tells ASan the leaving fiber is finished, so
+    // its fake stack is released.
+    __sanitizer_start_switch_fiber(
+        from_exits ? nullptr : &from.asan_fake_stack, to.stack_bottom,
+        to.stack_size);
+#else
+    (void)from_exits;
+#endif
+#ifdef CREV_TSAN
+    __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+    swapcontext(&from.uc, &to.uc);
+    finishSwitch(from);
+}
+
+void
+Scheduler::finishSwitch(detail::HostContext &self)
+{
+#ifdef CREV_ASAN
+    // ASan reports the stack the switch left; this is how the run()
+    // driver's own stack bounds become known before any fiber
+    // switches back to it (the first switch always leaves the driver).
+    __sanitizer_finish_switch_fiber(self.asan_fake_stack,
+                                    &switch_from_->stack_bottom,
+                                    &switch_from_->stack_size);
+#else
+    (void)self;
+#endif
 }
 
 Cycles
@@ -638,7 +522,6 @@ Scheduler::stopTheWorld(SimThread &self)
 
     std::unique_lock<std::mutex> lk(mtx_);
     CREV_ASSERT(!stw_active_);
-    engine_->onResolutionPoint(*this);
     stw_active_ = true;
     stw_owner_ = &self;
 
@@ -676,7 +559,6 @@ Scheduler::resumeWorld(SimThread &self)
     for (auto &tp : threads_)
         if (tp.get() != &self && tp->status_ == ThreadStatus::kReady)
             tp->clock_ = std::max(tp->clock_, end);
-    engine_->onResolutionPoint(*this);
     updateYieldHorizon(self);
 }
 
@@ -686,6 +568,9 @@ Scheduler::run()
     std::unique_lock<std::mutex> lk(mtx_);
     CREV_ASSERT(!started_);
     started_ = true;
+#ifdef CREV_TSAN
+    driver_.tsan_fiber = __tsan_get_current_fiber();
+#endif
 
     for (;;) {
         // Initiate shutdown once every non-daemon thread has finished.
@@ -713,30 +598,18 @@ Scheduler::run()
             }
         }
 
-        engine_->onResolutionPoint(*this);
         SimThread *next = chooseNext();
         if (next == nullptr) {
             panic("scheduler deadlock: threads alive but none runnable");
         }
         grant(next);
-#if CREV_SCHED_FIBERS
-        if (fibers_) {
-            // Fibers hand off among themselves without returning here;
-            // control comes back (with current_ == nullptr) only when
-            // a fiber finishes or none is runnable.
-            lk.unlock();
-            swapcontext(&sched_ctx_, &next->fiber_ctx_);
-            lk.lock();
-            continue;
-        }
-#endif
-        sched_cv_.wait(lk, [this] { return current_ == nullptr; });
+        // Fibers hand off among themselves without returning here;
+        // control comes back (with current_ == nullptr) only when a
+        // fiber finishes or none is runnable.
+        lk.unlock();
+        switchContext(driver_, next->fiber_);
+        lk.lock();
     }
-
-    lk.unlock();
-    for (auto &tp : threads_)
-        if (tp->host_.joinable())
-            tp->host_.join();
 }
 
 } // namespace crev::sim

@@ -2,31 +2,22 @@
  * @file
  * Deterministic cooperative virtual-time scheduler.
  *
- * Every simulated thread is backed by a host thread, but exactly one
- * simulated thread executes at a time: the scheduler hands a token to
- * the runnable thread with the smallest virtual clock (conservative
- * discrete-event execution). Simulated threads are pinned to cores via
- * a core mask; threads sharing a core are timesliced with a preemption
- * quantum. Because scheduling decisions depend only on virtual clocks,
- * entire runs are deterministic and race-free, yet workload bodies are
- * written as ordinary sequential C++.
+ * Exactly one simulated thread executes at a time: the scheduler hands
+ * a token to the runnable thread with the smallest effective start
+ * time (conservative discrete-event execution). Simulated threads are
+ * pinned to cores via a core mask; threads sharing a core are
+ * timesliced with a preemption quantum. Because scheduling decisions
+ * depend only on virtual clocks, entire runs are deterministic and
+ * race-free, yet workload bodies are written as ordinary sequential
+ * C++. Cross-core wakes are applied in call order at the instant they
+ * are posted (DESIGN.md §14).
  *
- * Two engines drive that policy (DESIGN.md §14):
- *
- *  - The serial *token engine* is the reference implementation: every
- *    cross-core interaction is applied at the instant it is posted, on
- *    the thread that holds the execution token.
- *  - The *lockstep engine* (MachineConfig::par_cores) is the
- *    conservative virtual-time generation: virtual time advances in
- *    preemption-quantum frontiers, cross-core wakes travel through
- *    per-core mailboxes drained in fixed (core-id, thread-id) order at
- *    resolution points. Because the simulated machine's shared state
- *    (allocator, page tables, caches) is visible with zero latency,
- *    the sound conservative lookahead is zero: the committing slice is
- *    granted in exact policy order, and the engine's host speedup
- *    comes from fibers and its flat lookup structures, not from
- *    speculating on virtual time. RunMetrics are bit-identical between
- *    the engines (tests/determinism_test.cpp).
+ * Simulated threads run as ucontext fibers on the host thread that
+ * calls run(): every token handoff is a user-space stack switch. Each
+ * fiber stack is an mmap'd region with a guard page at its low end,
+ * and every switch goes through one helper that tells ASan and TSan
+ * which stack is live, so the sanitizer builds run the code that
+ * ships.
  *
  * The scheduler also provides the stop-the-world service used by the
  * revokers: parked threads' clocks are advanced to the STW end time,
@@ -38,45 +29,22 @@
 #ifndef CREV_SIM_SCHEDULER_H_
 #define CREV_SIM_SCHEDULER_H_
 
-#include <condition_variable>
+#if !__has_include(<ucontext.h>)
+#error "simulated threads run as ucontext fibers: needs <ucontext.h>"
+#endif
+
+#include <ucontext.h>
+
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/types.h"
 #include "cap/capability.h"
 #include "sim/cost_model.h"
-
-/**
- * Fiber execution mode for the lockstep engine (DESIGN.md §14.5):
- * because exactly one simulated thread runs at a time, the engine can
- * run bodies as ucontext fibers on the driving host thread, turning
- * every token handoff from a kernel futex round-trip into a user-space
- * stack switch. Disabled under the sanitizers (they must observe real
- * host-thread switches to instrument stacks correctly) and off-Linux.
- */
-#if defined(__linux__) && !defined(__SANITIZE_THREAD__) && \
-    !defined(__SANITIZE_ADDRESS__)
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define CREV_SCHED_FIBERS 0
-#else
-#define CREV_SCHED_FIBERS 1
-#endif
-#else
-#define CREV_SCHED_FIBERS 1
-#endif
-#else
-#define CREV_SCHED_FIBERS 0
-#endif
-
-#if CREV_SCHED_FIBERS
-#include <ucontext.h>
-#endif
 
 namespace crev::trace {
 class Tracer;
@@ -91,8 +59,22 @@ namespace crev::sim {
 class Scheduler;
 
 namespace detail {
-/** makecontext entry thunk for fiber mode (internal). */
+/** makecontext entry thunk of a fiber (internal). */
 void fiberTrampoline(unsigned hi, unsigned lo);
+
+/**
+ * One host execution context the scheduler switches between: a
+ * fiber, or the run() driver's own stack. The fake-stack slot and the
+ * TSan handle are used only by sanitizer builds.
+ */
+struct HostContext
+{
+    ucontext_t uc{};
+    const void *stack_bottom = nullptr;
+    std::size_t stack_size = 0;
+    void *asan_fake_stack = nullptr; //!< saved while switched out
+    void *tsan_fiber = nullptr;
+};
 } // namespace detail
 
 /** Lifecycle states of a simulated thread. */
@@ -116,6 +98,7 @@ class SimThread
 
     SimThread(const SimThread &) = delete;
     SimThread &operator=(const SimThread &) = delete;
+    ~SimThread();
 
     const std::string &name() const { return name_; }
     unsigned id() const { return id_; }
@@ -198,8 +181,7 @@ class SimThread
               std::function<void(SimThread &)> body);
 
     void yieldSlow();
-    void threadMain();
-    /** Fiber-mode body wrapper (entered on the first grant). */
+    /** Body wrapper (entered on the first grant). */
     void fiberMain();
 
     Scheduler &sched_;
@@ -209,9 +191,8 @@ class SimThread
     const bool daemon_;
     std::function<void(SimThread &)> body_;
 
-    // --- state below is written only by the owning host thread or by
-    // the scheduler while the thread is parked (mutex hand-off orders
-    // all accesses) ---
+    // --- state below is written only while the thread holds the
+    // token, or by the scheduler under its mutex while it is parked ---
     Cycles clock_ = 0;
     Cycles busy_ = 0;
     std::uint64_t heartbeats_ = 0;
@@ -225,29 +206,19 @@ class SimThread
     double quantum_scale_ = 1.0;
 
     std::vector<cap::Capability> regs_;
-    std::condition_variable cv_;
-    std::thread host_;
-#if CREV_SCHED_FIBERS
-    ucontext_t fiber_ctx_{};
-    std::unique_ptr<char[]> fiber_stack_;
-#endif
+    detail::HostContext fiber_;
+    /** The fiber's mapping: a guard page, then the stack proper. */
+    void *stack_map_ = nullptr;
 };
 
 /**
  * The scheduler: owns all simulated threads and the single execution
- * token, driven by one of the two engines described in the file
- * comment.
+ * token (see the file comment).
  */
 class Scheduler
 {
   public:
-    /**
-     * @p lockstep selects the engine: false = serial token engine (the
-     * reference); true = lockstep engine.
-     */
-    Scheduler(unsigned num_cores, const CostModel &cm,
-              bool lockstep = false);
-    ~Scheduler();
+    Scheduler(unsigned num_cores, const CostModel &cm);
 
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
@@ -262,7 +233,7 @@ class Scheduler
                      std::function<void(SimThread &)> body,
                      bool daemon = false);
 
-    /** Run until all non-daemon threads complete (then join daemons). */
+    /** Run until all non-daemon threads complete and daemons exit. */
     void run();
 
     /** Block the calling thread until wake()d. */
@@ -275,12 +246,10 @@ class Scheduler
     void wake(SimThread &t, Cycles at);
 
     /**
-     * Wake a batch of threads at once. Under the lockstep engine the
-     * batch is posted to the per-core mailboxes and resolved in fixed
-     * (core-id, thread-id) order; the serial engine applies it in call
-     * order. The two orders produce identical state because each wake
-     * clamps only its own target's clock and the waker's yield-horizon
-     * shrink is a commutative min (DESIGN.md §14.2).
+     * Wake a batch of threads at once, applied in call order. Any
+     * order gives the same state: each wake clamps only its own
+     * target's clock, and the waker's yield-horizon shrink is a
+     * commutative min (DESIGN.md §14.2).
      */
     void wakeMany(SimThread *const *ts, std::size_t n, Cycles at);
 
@@ -288,9 +257,8 @@ class Scheduler
     bool shuttingDown() const { return shutting_down_; }
 
     /**
-     * Whether @p t's body has returned (its host thread may still be
-     * joinable). The epoch watchdog uses this to detect sweeper
-     * threads that died mid-epoch.
+     * Whether @p t's body has returned. The epoch watchdog uses this
+     * to detect sweeper threads that died mid-epoch.
      */
     bool finished(const SimThread &t);
 
@@ -312,38 +280,14 @@ class Scheduler
 
     /**
      * Largest virtual clock across all threads (wall-clock metric).
-     * Takes the scheduler mutex: thread clocks belong to the owning
-     * host threads, so off-token readers must synchronise (the
+     * Takes the scheduler mutex: thread clocks belong to the token
+     * holder, so off-token readers must synchronise (the
      * sched-unlocked-read checker rule covers regressions here).
      */
     Cycles maxClock() const;
 
     const CostModel &costs() const { return cm_; }
     unsigned numCores() const { return num_cores_; }
-
-    /** Whether the lockstep engine is driving this scheduler. */
-    bool lockstep() const { return lockstep_; }
-    /**
-     * Whether simulated threads run as fibers on the driving host
-     * thread (lockstep engine only; see the CREV_SCHED_FIBERS comment
-     * above). Purely a host execution mechanism: grant order, clocks,
-     * and RunMetrics are identical with fibers on or off.
-     */
-    bool fibers() const { return fibers_; }
-
-    /**
-     * The current quantum frontier: the quantum-aligned floor of the
-     * committing slice's grant time. Cross-core effects posted by a
-     * slice resolve no later than the next frontier (in practice at
-     * the next resolution point; see DESIGN.md §14.2). Exposed for
-     * tests; 0 under the serial engine.
-     */
-    Cycles
-    quantumFrontier() const
-    {
-        std::unique_lock<std::mutex> lk(mtx_);
-        return frontier_;
-    }
 
     /** Set a thread's preemption-quantum scale (§7.7 tuning knob). */
     void setQuantumScale(SimThread &t, double scale);
@@ -385,35 +329,6 @@ class Scheduler
 
   private:
     friend class SimThread;
-    friend class TokenEngine;
-    friend class LockstepEngine;
-
-    /** A wake in flight to a resolution point. */
-    struct PendingWake
-    {
-        SimThread *t;
-        Cycles at;
-    };
-
-    /**
-     * How the scheduling policy is driven: wake delivery, boundary
-     * resolution, and frontier bookkeeping. Both engines execute the
-     * same policy (chooseNext/updateYieldHorizon/grant below); the
-     * engine only decides *where* cross-core effects are applied.
-     */
-    class Engine
-    {
-      public:
-        virtual ~Engine() = default;
-        virtual const char *name() const = 0;
-        /** Deliver a wake batch (mtx_ held, targets still blocked). */
-        virtual void deliverWakes(Scheduler &s, PendingWake *w,
-                                  std::size_t n) = 0;
-        /** Called with mtx_ held before every policy decision. */
-        virtual void onResolutionPoint(Scheduler &s) = 0;
-        /** Called with mtx_ held after a slice is granted. */
-        virtual void onGrant(Scheduler &s, SimThread &t) = 0;
-    };
 
     /** Pick the next thread to grant; nullptr if none runnable. */
     SimThread *chooseNext();
@@ -425,32 +340,32 @@ class Scheduler
     void updateYieldHorizon(SimThread &running);
     /** Apply one wake's clock clamp + horizon shrink (mtx_ held). */
     void applyWake(SimThread &t, Cycles at);
-    /** Route a wake batch through the engine (mtx_ held). */
-    void deliverWakesLocked(PendingWake *w, std::size_t n);
+    /**
+     * Switch host stacks from @p from to @p to (mtx_ not held). Every
+     * stack switch goes through here so the sanitizers can follow it;
+     * @p from_exits marks a finished fiber that is never resumed.
+     */
+    void switchContext(detail::HostContext &from, detail::HostContext &to,
+                       bool from_exits = false);
+    /** Complete a switch on the stack of @p self, which it landed on. */
+    void finishSwitch(detail::HostContext &self);
 
     const unsigned num_cores_;
     const CostModel cm_;
-    const bool lockstep_;
-    const bool fibers_;
-#if CREV_SCHED_FIBERS
     /** The run() driver's context, resumed when no fiber is runnable. */
-    ucontext_t sched_ctx_{};
-#endif
+    detail::HostContext driver_;
+    /** The context the switch in flight left (read on landing). */
+    detail::HostContext *switch_from_ = nullptr;
 
     trace::Tracer *tracer_ = nullptr;
     check::RaceChecker *checker_ = nullptr;
     StallHook stall_hook_;
 
     mutable std::mutex mtx_;
-    std::condition_variable sched_cv_;
     std::vector<std::unique_ptr<SimThread>> threads_;
     SimThread *current_ = nullptr;
     bool started_ = false;
     bool shutting_down_ = false;
-    /** Set by the destructor so host threads parked before run() (a
-     *  scheduler built but never run) unblock and exit instead of
-     *  deadlocking the join. */
-    bool tearing_down_ = false;
 
     // Stop-the-world state.
     bool stw_active_ = false;
@@ -461,14 +376,6 @@ class Scheduler
     // Per-core timeline: when the core's last slice ended and who ran.
     std::vector<Cycles> core_free_at_;
     std::vector<SimThread *> core_last_thread_;
-
-    // Lockstep engine state: the quantum frontier and the per-core
-    // wake mailboxes (drained in (core-id, thread-id) order).
-    Cycles frontier_ = 0;
-    std::vector<std::vector<PendingWake>> mailboxes_;
-    std::size_t pending_wakes_ = 0;
-
-    std::unique_ptr<Engine> engine_;
 };
 
 } // namespace crev::sim

@@ -63,10 +63,8 @@ SimEvent::wait(SimThread &self)
 void
 SimEvent::notifyAll(SimThread &self)
 {
-    // One batch through the scheduler: the serial engine applies it in
-    // wait order, the lockstep engine through the per-core mailboxes in
-    // (core-id, thread-id) order. The orders are interchangeable — see
-    // Scheduler::wakeMany.
+    // One batch through the scheduler, applied in wait order (any order
+    // gives the same state; see Scheduler::wakeMany).
     std::vector<SimThread *> to_wake;
     to_wake.swap(waiters_);
     if (!to_wake.empty())

@@ -7,25 +7,29 @@ run's contract held; this tool turns those self-reports into a CI
 gate. The file kind is dispatched on the top-level "bench" key.
 
 bench_all trajectory files (DESIGN.md §9):
-  - every run's "end_to_end.sim_results_match" must be true (the
-    serial token engine leg, "reference_serial", and the lockstep
-    legs produced identical RunMetrics; runs recorded before the host
-    structures were unified ran the reference leg with the fast paths
-    off as well);
+  - every run's "end_to_end.sim_results_match" must be true (every
+    e2e leg, on one host thread and on the thread pool, produced
+    identical RunMetrics; runs recorded while the simulator had two
+    scheduler engines also compared a "reference_serial" leg on the
+    serial token engine);
   - every run's sweep_microbench rows must have "sim_cycles_match"
     true (simulated cycles per page equal across every trial of the
     sweep; runs recorded before the reference sweep was deleted
     compared the fast sweep against it instead);
-  - runs carrying an "intra_cell" record (DESIGN.md §14) must have
+  - runs carrying an "intra_cell" record (written while the
+    simulator had two scheduler engines) must have
     "sim_results_match" true (serial token engine and lockstep engine
     produced identical RunMetrics) and "intra_cell_speedup" >= 1.0
-    (the lockstep engine is never slower than the reference);
+    (the lockstep engine was never slower than the reference);
   - runs carrying an "alloc_shard" record (DESIGN.md §15) must have
-    "sim_results_match" true (serial and lockstep engines agreed at
-    every shard count) and "remote_free_sends" > 0 (the sharded cell
-    really drove the remote-dealloc queues); records that emit a
-    "min_leg_seconds" floor must have every timed leg at or above it
-    (sub-threshold legs are pure host jitter, not measurements);
+    "sim_results_match" true (identical RunMetrics across trials at
+    every shard count; two-engine records also compared the engines)
+    and "remote_free_sends" > 0 (the sharded cell really drove the
+    remote-dealloc queues); records that emit a "min_leg_seconds"
+    floor must have every timed "*_seconds" leg they carry at or
+    above it (sub-threshold legs are pure host jitter, not
+    measurements) — "single_seconds"/"sharded_seconds" in current
+    records, four per-engine legs in two-engine ones;
   - runs carrying a "kernels" record (written by older bench_all
     builds with SIMD sweep kernels) must have "sim_results_match"
     true (forced-scalar and dispatched kernel legs produced identical
@@ -88,8 +92,8 @@ def check_trajectory_runs(runs):
                 f'run "{label}": simulated results diverged across '
                 "host configurations"
             )
-        # Older runs predate the intra-cell engine comparison; gate it
-        # only where recorded.
+        # Only runs from the two-engine era carry the intra-cell
+        # engine comparison; gate it where recorded.
         intra = run.get("intra_cell")
         if intra is not None:
             if intra.get("sim_results_match") is not True:
@@ -110,8 +114,8 @@ def check_trajectory_runs(runs):
         if ashard is not None:
             if ashard.get("sim_results_match") is not True:
                 fail(
-                    f'run "{label}" alloc_shard: serial and lockstep '
-                    "engines diverged on the sharded heap"
+                    f'run "{label}" alloc_shard: simulated results '
+                    "diverged on the sharded heap"
                 )
             sends = ashard.get("remote_free_sends")
             if not isinstance(sends, int) or sends <= 0:
@@ -123,12 +127,12 @@ def check_trajectory_runs(runs):
             # clears it (older records predate the field).
             floor = ashard.get("min_leg_seconds")
             if isinstance(floor, (int, float)):
-                for leg in (
-                    "single_serial_seconds",
-                    "single_lockstep_seconds",
-                    "sharded_serial_seconds",
-                    "sharded_lockstep_seconds",
-                ):
+                legs = [k for k in ashard
+                        if k.endswith("_seconds") and
+                        k != "min_leg_seconds"]
+                if not legs:
+                    fail(f'run "{label}" alloc_shard: no timed legs')
+                for leg in legs:
                     secs = ashard.get(leg)
                     if not isinstance(secs, (int, float)) or \
                             secs < floor:
