@@ -25,18 +25,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_runner.h"
 #include "bench_util.h"
 #include "core/machine.h"
-#include "core/mutator.h"
 #include "workload/grpc_qps.h"
 #include "workload/pgbench.h"
 #include "workload/spec.h"
@@ -194,128 +191,6 @@ sameSimResults(const std::vector<CellResult> &a,
     return true;
 }
 
-struct AllocShardResult
-{
-    unsigned alloc_cores = 4;
-    int iters = 0;
-    double single_seconds = 0;
-    double sharded_seconds = 0;
-    std::uint64_t remote_free_sends = 0;
-    bool match = true;
-};
-
-/** The cross-core-free regime: a producer allocating on core 0, a
- *  consumer freeing on core 1, so with alloc_cores > 1 every consumer
- *  free rides the remote-dealloc message queues (DESIGN.md §15). */
-core::RunMetrics
-runXcoreCell(unsigned alloc_cores, int iters)
-{
-    core::MachineConfig cfg;
-    cfg.strategy = core::Strategy::kReloaded;
-    cfg.policy.min_bytes = 64 * 1024;
-    cfg.alloc_cores = alloc_cores;
-    cfg.seed = 5;
-    core::Machine m(cfg);
-    auto queue = std::make_shared<std::vector<cap::Capability>>();
-    m.spawnMutator("prod", 1u << 0, [=](core::Mutator &ctx) {
-        for (int i = 0; i < iters; ++i) {
-            cap::Capability c = ctx.malloc(16 << (i % 6));
-            ctx.store64(c, 0, static_cast<std::uint64_t>(i));
-            queue->push_back(c);
-            ctx.compute(150);
-        }
-    });
-    m.spawnMutator("cons", 1u << 1, [=, &m](core::Mutator &ctx) {
-        std::size_t taken = 0;
-        while (taken < static_cast<std::size_t>(iters)) {
-            if (taken < queue->size()) {
-                const cap::Capability c = (*queue)[taken++];
-                ctx.load64(c, 0);
-                ctx.free(c);
-                ctx.compute(120);
-            } else {
-                ctx.compute(400);
-            }
-        }
-        m.heap().drain(ctx.thread());
-    });
-    m.run();
-    return m.metrics();
-}
-
-/**
- * Sharded-allocator A/B: the cross-core-free cell at alloc_cores = 1
- * (single-heap reference) and alloc_cores = 4, with the minimum host
- * time over three trials kept per shard count. RunMetrics must be
- * identical across the trials of a shard count (across shard counts
- * they legitimately differ — that is the simulated topology
- * changing).
- */
-AllocShardResult
-measureAllocShard(bool quick)
-{
-    AllocShardResult r;
-    // Sized so every timed leg is well clear of host scheduling noise
-    // (tens of milliseconds at minimum): the pr8-era 400/2000 iteration
-    // counts produced 3-4 ms legs whose A/B ratios were pure jitter.
-    // check_trajectory.py rejects legs below the emitted
-    // min_leg_seconds floor.
-    const int iters = quick ? 30000 : 60000;
-    r.iters = iters;
-    const std::size_t trials = 3;
-    for (const bool sharded : {false, true}) {
-        const unsigned ac = sharded ? r.alloc_cores : 1;
-        core::RunMetrics first;
-        double best = 0;
-        for (std::size_t k = 0; k < trials; ++k) {
-            std::fprintf(stderr,
-                         "  alloc-shard trial %zu/%zu (alloc_cores "
-                         "%u)...\n",
-                         k + 1, trials, ac);
-            const auto start = std::chrono::steady_clock::now();
-            core::RunMetrics m = runXcoreCell(ac, iters);
-            const double secs = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    start)
-                                    .count();
-            if (k == 0) {
-                best = secs;
-                first = std::move(m);
-                continue;
-            }
-            best = std::min(best, secs);
-            if (!sameMetrics(m, first) ||
-                m.quarantine.remote_free_sends !=
-                    first.quarantine.remote_free_sends) {
-                std::fprintf(stderr,
-                             "FAIL: alloc_cores %u simulated results "
-                             "vary across trials\n",
-                             ac);
-                r.match = false;
-            }
-        }
-        if (sharded) {
-            r.sharded_seconds = best;
-            r.remote_free_sends = first.quarantine.remote_free_sends;
-            if (r.remote_free_sends == 0) {
-                std::fprintf(stderr,
-                             "FAIL: sharded cell drove no remote "
-                             "frees\n");
-                r.match = false;
-            }
-        } else {
-            r.single_seconds = best;
-            if (first.quarantine.remote_free_sends != 0) {
-                std::fprintf(stderr,
-                             "FAIL: single-heap cell sent remote "
-                             "frees\n");
-                r.match = false;
-            }
-        }
-    }
-    return r;
-}
-
 } // namespace
 
 int
@@ -440,19 +315,6 @@ main(int argc, char **argv)
     std::printf("  %2u host threads:  %.2fs (%.2fx)\n", threads,
                 parallel_secs, serial_secs / parallel_secs);
 
-    // --- sharded-allocator A/B (DESIGN.md §15) ---
-    std::fprintf(stderr, "  sharded-allocator comparison...\n");
-    const AllocShardResult ashard = measureAllocShard(quick);
-    determinism_ok = determinism_ok && ashard.match;
-    std::printf("\nsharded allocator (cross-core producer/consumer, "
-                "alloc_cores 1 vs %u):\n",
-                ashard.alloc_cores);
-    std::printf("  single heap:  %.2fs\n", ashard.single_seconds);
-    std::printf("  %u shards:     %.2fs (%llu remote frees)\n",
-                ashard.alloc_cores, ashard.sharded_seconds,
-                static_cast<unsigned long long>(
-                    ashard.remote_free_sends));
-
     // --- BENCH_TRAJECTORY.json (accumulating) ---
     const std::string prev_runs = readPreviousRuns(out_path);
     std::FILE *f = std::fopen(out_path.c_str(), "w");
@@ -494,21 +356,6 @@ main(int argc, char **argv)
                  cells.size(), serial_secs, parallel_secs,
                  serial_secs / parallel_secs,
                  determinism_ok ? "true" : "false");
-    std::fprintf(f,
-                 "      \"alloc_shard\": "
-                 "{\"regime\": \"xcore_producer_consumer\", "
-                 "\"alloc_cores\": %u, "
-                 "\"iters\": %d, "
-                 "\"min_leg_seconds\": %.3f, "
-                 "\"single_seconds\": %.3f, "
-                 "\"sharded_seconds\": %.3f, "
-                 "\"remote_free_sends\": %llu, "
-                 "\"sim_results_match\": %s},\n",
-                 ashard.alloc_cores, ashard.iters, 0.02,
-                 ashard.single_seconds, ashard.sharded_seconds,
-                 static_cast<unsigned long long>(
-                     ashard.remote_free_sends),
-                 ashard.match ? "true" : "false");
     std::fprintf(f, "      \"cells\": [\n");
     for (std::size_t i = 0; i < cells.size(); ++i)
         std::fprintf(f,

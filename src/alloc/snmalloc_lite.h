@@ -19,14 +19,9 @@
  * correct client cannot touch neighbours (spatial safety); temporal
  * safety is layered on by QuarantineShim.
  *
- * Sharding (DESIGN.md §15): the allocator can be split into per-core
- * *shards*, each with its own free lists, slab cursors, arena, and
- * large-chunk cache — the shape of snmalloc's per-thread LocalAllocs.
- * Every chunk records its owning shard; an object must be returned to
- * its owner's free lists (QuarantineShim routes cross-core frees as
- * remote-dealloc messages). The chunk map, live set, and in-flight
- * set stay global: they model the shared address-space metadata every
- * allocator instance can see.
+ * There is one heap for the whole machine, as in the paper's mrs
+ * shim over snmalloc: every core allocates from and frees onto the
+ * same free lists, serialised by the shim's heap lock.
  */
 
 #ifndef CREV_ALLOC_SNMALLOC_LITE_H_
@@ -35,7 +30,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/types.h"
@@ -54,7 +48,7 @@ constexpr std::array<std::size_t, 20> kSizeClasses = {
 /** Largest small-object size. */
 constexpr std::size_t kMaxSmall = kSizeClasses.back();
 
-/** Allocator activity counters (global and per shard). */
+/** Allocator activity counters. */
 struct AllocStats
 {
     std::uint64_t allocs = 0;
@@ -67,89 +61,51 @@ struct AllocStats
 class SnmallocLite
 {
   public:
-    SnmallocLite(kern::Kernel &kernel, vm::Mmu &mmu,
-                 unsigned shards = 1);
-
-    /** Number of per-core shards (1 = the single-heap reference). */
-    unsigned
-    shardCount() const
-    {
-        return static_cast<unsigned>(shards_.size());
-    }
+    SnmallocLite(kern::Kernel &kernel, vm::Mmu &mmu);
 
     /**
-     * Allocate at least @p size bytes from @p shard's slabs; returns
-     * a tagged capability bounded to the rounded size (the size
-     * class, or page-rounded for large allocations).
+     * Allocate at least @p size bytes; returns a tagged capability
+     * bounded to the rounded size (the size class, or page-rounded
+     * for large allocations).
      */
-    cap::Capability alloc(sim::SimThread &t, std::size_t size,
-                          unsigned shard = 0);
+    cap::Capability alloc(sim::SimThread &t, std::size_t size);
 
     /**
-     * Return an object to its owner's free list immediately (no
-     * quarantine; the baseline configuration, or the shim after
-     * dequarantine). Detects double-free of a live pointer.
+     * Return an object to the free lists immediately (no quarantine;
+     * the baseline configuration). Detects double-free of a live
+     * pointer.
      */
     void dealloc(sim::SimThread &t, const cap::Capability &c);
 
-    /** Dequarantine path: free by base address, onto the free lists
-     *  of the shard that owns the containing chunk. */
+    /** Dequarantine path: free by base address onto the free lists. */
     void deallocRaw(sim::SimThread &t, Addr base);
 
     /**
      * Remove @p base from the live set (quarantine entry point): the
      * object stops counting toward the live heap but is not yet
-     * reusable. Throws std::logic_error on double free — including a
-     * local free racing a still-in-flight remote free.
+     * reusable. Throws std::logic_error on double free, whichever core
+     * the second free comes from.
      */
     void retire(Addr base);
-
-    /**
-     * Mark @p base as having a remote free in flight: the object
-     * stays live (the free has not reached its owner yet) but a
-     * second free — local or remote — is a detected double free.
-     */
-    void markInFlight(Addr base);
-
-    /** The owner drained the message: @p base may now be retired. */
-    void clearInFlight(Addr base);
-
-    /** The shard owning the chunk containing @p base. */
-    unsigned
-    ownerOf(Addr base) const
-    {
-        return chunkFor(base).owner;
-    }
 
     /** Rounded allocation size for @p base (must be a live or
      *  quarantined object base). */
     std::size_t objectSize(Addr base) const;
 
-    /** Whether @p base is a currently-live allocation. */
-    bool isLive(Addr base) const { return liveBitTest(base); }
-
     /** Bytes in live allocations (rounded sizes). */
     std::size_t liveBytes() const { return live_bytes_; }
 
     /**
-     * Address-space bytes an alloc(@p size) on @p shard would have to
-     * mmap right now — 0 when it can be served from free lists, the
-     * current slab, the current arena, or the large-chunk cache. The
+     * Address-space bytes an alloc(@p size) would have to mmap right
+     * now — 0 when it can be served from free lists, the current
+     * slab, the current arena, or the large-chunk cache. The
      * quarantine shim probes this before allocating so address-space
      * exhaustion can degrade to emergency reclaim instead of
      * asserting.
      */
-    std::size_t mmapDemandFor(std::size_t size,
-                              unsigned shard = 0) const;
+    std::size_t mmapDemandFor(std::size_t size) const;
 
     const AllocStats &stats() const { return stats_; }
-
-    /** Per-shard activity (RunMetrics "alloc.shardN.*"). */
-    const AllocStats &
-    shardStats(unsigned shard) const
-    {
-        return shards_[shard].stats;
-    }
 
     /** The size class index holding @p size, or -1 if large. */
     static int sizeClassFor(std::size_t size);
@@ -163,31 +119,17 @@ class SnmallocLite
         Addr slab_end = 0;
     };
 
-    /** One per-core allocator: snmalloc's LocalAlloc shape. */
-    struct Shard
-    {
-        std::array<ClassState, kSizeClasses.size()> classes{};
-        std::map<std::size_t, std::vector<cap::Capability>>
-            large_free; //!< cached free large chunks, by length
-        cap::Capability arena_cap; //!< current arena root
-        Addr arena_bump = 0;
-        Addr arena_end = 0;
-        AllocStats stats;
-    };
-
     struct ChunkMeta
     {
         Addr base = 0;
         std::size_t length = 0;
         int size_class = -1; //!< -1 for large chunks
-        unsigned owner = 0;  //!< shard whose free lists recycle it
         /** Allocator-retained capability spanning the chunk. */
         cap::Capability chunk_cap;
     };
 
-    /** Carve a new chunk of @p bytes (page multiple) from @p shard's
-     *  arena. */
-    Addr carveChunk(sim::SimThread &t, Shard &sh, std::size_t bytes,
+    /** Carve a new chunk of @p bytes (page multiple) from the arena. */
+    Addr carveChunk(sim::SimThread &t, std::size_t bytes,
                     std::size_t align);
 
     const ChunkMeta &chunkFor(Addr va) const;
@@ -197,18 +139,19 @@ class SnmallocLite
 
     // --- live-set granule bitmap ---
     std::size_t liveBitIndex(Addr base) const;
-    bool liveBitTest(Addr base) const;
     void liveBitSet(Addr base);
     /** Clear the bit; returns whether it was set. */
     bool liveBitClear(Addr base);
 
     kern::Kernel &kernel_;
     vm::Mmu &mmu_;
-    std::vector<Shard> shards_; //!< sized once at construction
+    std::array<ClassState, kSizeClasses.size()> classes_{};
+    std::map<std::size_t, std::vector<cap::Capability>>
+        large_free_; //!< cached free large chunks, by length
+    cap::Capability arena_cap_; //!< current arena root
+    Addr arena_bump_ = 0;
+    Addr arena_end_ = 0;
     std::map<Addr, ChunkMeta> chunks_; //!< by chunk base
-    /** Bases with a remote free in flight (still live; a second free
-     *  is a double free). Membership-only — never iterated. */
-    std::unordered_set<Addr> in_flight_;
     // Flat lookup structures (DESIGN.md §14.4). Chunks are
     // page-granular, non-overlapping and never erased, and object
     // bases are 16-byte aligned inside the heap window.

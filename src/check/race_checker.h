@@ -39,12 +39,7 @@
  *                          open read-modify-write window
  *   quarantine-unlocked-access
  *                          quarantine buffer mutation without the
- *                          heap (shard) lock
- *   remote-queue-nonatomic-access
- *                          a remote-dealloc inbox splice or detach
- *                          outside a NoYield window (senders push
- *                          without the owner's shard lock; the
- *                          modeled MPSC exchange must be atomic)
+ *                          heap lock
  *   epoch-order-violation  a quarantine buffer released before its
  *                          +2/+3 epoch target
  *   stw-scan-outside-stw   register-file / kernel-hoard scanning
@@ -148,11 +143,6 @@ class RaceChecker
      *  flight, so the drain must observe an even epoch counter;
      *  @p shutting_down excuses the final drain during teardown. */
     void onMappingHandoff(unsigned tid, Cycles at, bool shutting_down);
-    /** Remote-dealloc queue splice/detach; @p atomic = inside a
-     *  NoYield window (the modeled lock-free MPSC exchange — the
-     *  inbox is mutated by senders that do NOT hold the owner's
-     *  shard lock, so atomicity of the exchange is the invariant). */
-    void onRemoteQueueAccess(unsigned tid, Cycles at, bool atomic);
     /** Quarantine buffer released whose target was @p target while
      *  the counter read @p counter. */
     void onDequarantineRelease(unsigned tid, Cycles at,

@@ -58,17 +58,6 @@ bool defaultCheck();
  */
 bool defaultOracle();
 
-/**
- * Default for MachineConfig::alloc_cores: the CREV_ALLOC_CORES
- * environment variable when set, otherwise 1 — the single-heap
- * reference model. Values > 1 shard the allocator and quarantine
- * into per-core heaps with message-passing remote free (DESIGN.md
- * §15); this is a *simulated* structural change (quarantine growth
- * and paint/sweep dynamics differ by design); each value's RunMetrics
- * are pinned by tests/golden.
- */
-unsigned defaultAllocCores();
-
 /** All strategies in evaluation order. */
 constexpr Strategy kAllStrategies[] = {
     Strategy::kBaseline,   Strategy::kPaintOnly,
@@ -94,14 +83,6 @@ struct MachineConfig
 
     /** Run the whole-machine invariant audit after every epoch. */
     bool audit = false;
-
-    /** Per-core allocator sharding (DESIGN.md §15): number of
-     *  per-core heap shards. 1 = the single globally-locked heap (the
-     *  reference model); N > 1 gives each simulated core its own free
-     *  lists, slab/arena cursors, and quarantine double-buffer, with
-     *  cross-core frees routed as batched remote-dealloc messages to
-     *  the owning shard. All shards feed the one revocation epoch. */
-    unsigned alloc_cores = defaultAllocCores();
 
     /** Virtual-time event tracing (DESIGN.md §10). Zero simulated
      *  cost: RunMetrics are bit-identical with tracing on or off. */

@@ -55,26 +55,27 @@ defaultOracle()
     return env != nullptr && std::strcmp(env, "0") != 0;
 }
 
-unsigned
-defaultAllocCores()
-{
-    if (const char *env = std::getenv("CREV_ALLOC_CORES")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 64)
-            return static_cast<unsigned>(v);
-        warn("ignoring malformed CREV_ALLOC_CORES=%s", env);
-    }
-    return 1;
-}
-
 std::string
 MachineConfig::validate() const
 {
     if (cores == 0 || cores > 32)
         return "MachineConfig::cores must be in [1, 32]";
-    if (alloc_cores == 0 || alloc_cores > cores)
-        return "MachineConfig::alloc_cores must be in [1, cores]";
+    // Cache::Cache needs ways and a power-of-two number of sets.
+    const auto badGeometry = [](const mem::CacheConfig &c) {
+        if (c.assoc == 0)
+            return true;
+        const std::size_t sets = c.size_bytes / (kLineSize * c.assoc);
+        return sets == 0 || (sets & (sets - 1)) != 0;
+    };
+    if (badGeometry(l1))
+        return "MachineConfig::l1 needs assoc >= 1 and a power-of-two "
+               "set count";
+    if (badGeometry(llc))
+        return "MachineConfig::llc needs assoc >= 1 and a power-of-two "
+               "set count";
+    if (trace && trace_buffer_events == 0)
+        return "MachineConfig::trace_buffer_events must be >= 1 when "
+               "trace is on";
     // Baseline spawns no revoker, so only the other strategies place
     // threads on the mask.
     const std::uint32_t machine_mask =
@@ -83,6 +84,15 @@ MachineConfig::validate() const
         (revoker_core_mask & ~machine_mask) != 0)
         return "MachineConfig::revoker_core_mask names a core outside "
                "the machine";
+    // Revoker threads run with quantum x scale cycles per slice, cast
+    // to Cycles: the product must be positive and below 2^64 (NaN and
+    // infinity fail the comparisons).
+    const double slice =
+        static_cast<double>(costs.quantum) * revoker_quantum_scale;
+    if (strategy != Strategy::kBaseline &&
+        !(revoker_quantum_scale > 0 && slice < 0x1p64))
+        return "MachineConfig::revoker_quantum_scale must be > 0 and "
+               "keep costs.quantum x scale within Cycles";
     if (strategy == Strategy::kReloaded && background_sweepers == 0)
         return "MachineConfig::background_sweepers must be >= 1 under "
                "Reloaded";
@@ -151,10 +161,8 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
         mmu_->setSafetyOracle(oracle_.get());
     }
 
-    const unsigned alloc_shards = cfg.alloc_cores;
     if (cfg.strategy == Strategy::kBaseline) {
-        snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_,
-                                                     alloc_shards);
+        snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_);
         shim_ = std::make_unique<alloc::QuarantineShim>(
             *snm_, *kernel_, nullptr, nullptr, cfg.policy);
         shim_->setTracer(tracer_.get());
@@ -255,8 +263,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
             auditor_->check(&self);
         });
 
-    snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_,
-                                                 alloc_shards);
+    snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_);
     shim_ = std::make_unique<alloc::QuarantineShim>(
         *snm_, *kernel_, revoker_.get(), bitmap_.get(), cfg.policy);
     shim_->setTracer(tracer_.get());
@@ -376,10 +383,6 @@ Machine::metrics() const
     }
     m.quarantine = shim_->stats();
     m.allocator = snm_->stats();
-    for (unsigned s = 0; s < snm_->shardCount(); ++s)
-        m.alloc_shards.push_back(snm_->shardStats(s));
-    for (unsigned s = 0; s < shim_->shardCount(); ++s)
-        m.quarantine_shards.push_back(shim_->shardStats(s));
     m.mmu = mmu_->stats();
     if (watchdog_)
         m.recovery = watchdog_->stats();

@@ -56,12 +56,6 @@ struct RunMetrics
     revoker::SweepStats sweep;
     alloc::QuarantineStats quarantine;
     alloc::AllocStats allocator;
-    /** Per-shard allocator activity ("alloc.shardN.*"); size 1 in the
-     *  single-heap reference model. */
-    std::vector<alloc::AllocStats> alloc_shards;
-    /** Per-shard quarantine/remote-free activity
-     *  ("quarantine.shardN.*"). */
-    std::vector<alloc::QuarantineShardStats> quarantine_shards;
     vm::MmuStats mmu;
 
     /** Watchdog recovery activity (all-zero when none was spawned). */

@@ -10,9 +10,9 @@
  * that skeleton, factored once: a client opens a Ticket for a named
  * protocol, asks permission for each attempt (denied once retries are
  * exhausted or the protocol deadline has passed), spaces attempts with
- * the saturating exponential backoff the watchdog ladder established
- * (identical arithmetic — see backoff()), and closes the ticket with a
- * terminal outcome. Every attempt and outcome emits a trace instant
+ * the saturating exponential backoff the watchdog ladder uses (both
+ * call saturatingBackoff()), and closes the ticket with a terminal
+ * outcome. Every attempt and outcome emits a trace instant
  * and feeds per-protocol counters plus a recovery-latency histogram
  * exported through the MetricsRegistry.
  *
@@ -40,6 +40,24 @@ namespace crev::revoker {
 
 using trace::RecoveryOutcome;
 using trace::RecoveryProtocol;
+
+/**
+ * Saturating exponential backoff: base << min(attempt, 6), capped at
+ * @p cap, with a zero base or cap counted as 1. Never overflows
+ * Cycles: `base << shift` would once base > 2^58, so the base is
+ * compared against the pre-shifted cap instead.
+ */
+constexpr Cycles
+saturatingBackoff(Cycles base, Cycles cap, unsigned attempt)
+{
+    cap = cap > 1 ? cap : 1;
+    base = base > 1 ? base : 1;
+    const unsigned shift = attempt < 6u ? attempt : 6u;
+    if (base > (cap >> shift))
+        return cap;
+    const Cycles shifted = base << shift;
+    return shifted < cap ? shifted : cap;
+}
 
 /** Per-protocol retry/deadline/backoff envelope. */
 struct RecoveryPolicy
@@ -140,10 +158,8 @@ class RecoveryManager
 
     /**
      * Saturating exponential backoff before the ticket's *next*
-     * attempt: base << attempts, capped at max_backoff. The arithmetic
-     * mirrors the watchdog ladder's established overflow-safe form
-     * (pre-shifted-cap compare) so ladder timings are unchanged by the
-     * refactor.
+     * attempt (saturatingBackoff() of the protocol's envelope); a 0/0
+     * envelope means no backoff at all.
      */
     Cycles
     backoff(const Ticket &tk) const
@@ -151,13 +167,8 @@ class RecoveryManager
         const RecoveryPolicy &pol = policy(tk.proto);
         if (pol.backoff_base == 0 && pol.max_backoff == 0)
             return 0;
-        const Cycles cap = pol.max_backoff > 1 ? pol.max_backoff : 1;
-        const Cycles base = pol.backoff_base > 1 ? pol.backoff_base : 1;
-        const unsigned shift = tk.attempts < 6u ? tk.attempts : 6u;
-        if (base > (cap >> shift))
-            return cap;
-        const Cycles shifted = base << shift;
-        return shifted < cap ? shifted : cap;
+        return saturatingBackoff(pol.backoff_base, pol.max_backoff,
+                                 tk.attempts);
     }
 
     /** True when the ticket's attempt budget is spent. */

@@ -22,19 +22,6 @@ EpochWatchdog::deadline() const
                     static_cast<Cycles>(std::min(budget, kMaxBudget)));
 }
 
-Cycles
-EpochWatchdog::backoffDelay(unsigned attempt) const
-{
-    const Cycles cap = std::max<Cycles>(policy_.max_backoff, 1);
-    const Cycles base = std::max<Cycles>(policy_.backoff_base, 1);
-    const unsigned shift = std::min(attempt, 6u);
-    // Saturating doubling: `base << shift` overflows Cycles once
-    // base > 2^58, so compare against the pre-shifted cap instead.
-    if (base > (cap >> shift))
-        return cap;
-    return std::min(base << shift, cap);
-}
-
 void
 EpochWatchdog::traceEscalation(sim::SimThread &self, unsigned rung)
 {
@@ -140,7 +127,8 @@ EpochWatchdog::daemonBody(sim::SimThread &self)
             // fresh epoch, but emergency epochs served on the watchdog
             // thread never bump the seq — reset explicitly.
             attempt = 0;
-            self.sleep(backoffDelay(1));
+            self.sleep(saturatingBackoff(policy_.backoff_base,
+                                         policy_.max_backoff, 1));
             if (sched_.shuttingDown())
                 return;
             continue;
@@ -153,7 +141,8 @@ EpochWatchdog::daemonBody(sim::SimThread &self)
         ++attempt;
 
         // Exponential backoff before re-judging the same epoch.
-        self.sleep(backoffDelay(attempt));
+        self.sleep(saturatingBackoff(policy_.backoff_base,
+                                     policy_.max_backoff, attempt));
         if (sched_.shuttingDown())
             return;
     }

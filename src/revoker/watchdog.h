@@ -132,10 +132,6 @@ class EpochWatchdog
     /** Deadline for the epoch in progress, from pages left to sweep. */
     Cycles deadline() const;
 
-    /** Backoff sleep for escalation @p attempt, saturating at the
-     *  policy's max_backoff (never overflows Cycles). */
-    Cycles backoffDelay(unsigned attempt) const;
-
     /** Rung 1: reap/respawn dead sweepers and re-notify events. */
     void nudgeRound(sim::SimThread &self);
 

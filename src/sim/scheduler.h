@@ -154,11 +154,6 @@ class SimThread
     /** Whole register file, for the revoker's STW scan. */
     std::vector<cap::Capability> &registerFile() { return regs_; }
 
-    /** Whether a NoYield critical section is active (used by the
-     *  race checker's remote-queue domain to verify splices happen
-     *  inside the modeled atomic exchange window). */
-    bool inNoYield() const { return noyield_depth_ > 0; }
-
     /** RAII guard suppressing yields (virtual critical section). */
     class NoYield
     {

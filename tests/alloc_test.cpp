@@ -165,82 +165,35 @@ TEST(Allocator, FreeUntaggedRejected)
     EXPECT_TRUE(threw);
 }
 
-/** Cross-core frees travel as batched remote-dealloc messages
- *  (DESIGN.md §15): sends are batched at the sender (a full batch
- *  splices mid-stream, the remainder at the sender's next allocation
- *  boundary) and the owner drains its inbox in send (FIFO) order —
- *  observable in the baseline model as reversed reuse order, because
- *  the owner's free list is LIFO. */
-TEST(Allocator, RemoteFreeBatchingAndFifoDrain)
-{
-    MachineConfig cfg = baselineCfg();
-    cfg.alloc_cores = 2;
-    Machine m(cfg);
-    auto objs = std::make_shared<std::vector<cap::Capability>>();
-    std::vector<Addr> sent;
-    std::vector<Addr> reused;
-    m.spawnMutator("owner", 1u << 0, [&, objs](Mutator &ctx) {
-        for (int i = 0; i < 12; ++i)
-            objs->push_back(ctx.malloc(64));
-        ctx.sleep(500'000); // remote frees land meanwhile
-        for (int i = 0; i < 12; ++i)
-            reused.push_back(ctx.malloc(64).base); // drains inbox
-    });
-    m.spawnMutator("remote", 1u << 1, [&, objs](Mutator &ctx) {
-        ctx.sleep(100'000);
-        for (const auto &c : *objs) {
-            sent.push_back(c.base);
-            ctx.free(c); // cross-core: batched, not freed here
-        }
-        // Allocation boundary flushes the 4-entry partial batch.
-        ctx.free(ctx.malloc(16));
-    });
-    m.run();
-    const auto q = m.metrics().quarantine;
-    EXPECT_EQ(q.remote_free_sends, 12u);
-    EXPECT_EQ(q.remote_batches, 2u); // one full batch of 8, one of 4
-    EXPECT_EQ(q.remote_drained, 12u);
-    ASSERT_EQ(reused.size(), sent.size());
-    for (std::size_t i = 0; i < sent.size(); ++i)
-        EXPECT_EQ(reused[i], sent[sent.size() - 1 - i])
-            << "drain must preserve send order (LIFO free list "
-               "reverses it)";
-}
-
-/** A second free of an object whose remote free is still in flight is
- *  a detected double free — from the same remote core or from the
- *  owner itself, before the message drains. */
+/** A second free of the same capability from another core is a
+ *  detected double free: every core frees into the one heap, with or
+ *  without the quarantine in front of it. */
 TEST(Allocator, CrossCoreDoubleFreeDetected)
 {
-    MachineConfig cfg = baselineCfg();
-    cfg.alloc_cores = 2;
-    Machine m(cfg);
-    auto objs = std::make_shared<std::vector<cap::Capability>>();
-    bool remote_remote_threw = false;
-    bool remote_local_threw = false;
-    m.spawnMutator("owner", 1u << 0, [&, objs](Mutator &ctx) {
-        objs->push_back(ctx.malloc(64));
-        objs->push_back(ctx.malloc(64));
-        ctx.sleep(200'000); // both remote frees are now in flight
-        try {
-            ctx.free(objs->at(1)); // local free vs in-flight remote
-        } catch (const std::logic_error &) {
-            remote_local_threw = true;
-        }
-    });
-    m.spawnMutator("remote", 1u << 1, [&, objs](Mutator &ctx) {
-        ctx.sleep(100'000);
-        ctx.free(objs->at(0));
-        ctx.free(objs->at(1));
-        try {
-            ctx.free(objs->at(0)); // second remote free, same core
-        } catch (const std::logic_error &) {
-            remote_remote_threw = true;
-        }
-    });
-    m.run();
-    EXPECT_TRUE(remote_remote_threw);
-    EXPECT_TRUE(remote_local_threw);
+    for (Strategy s : {Strategy::kBaseline, Strategy::kReloaded}) {
+        MachineConfig cfg;
+        cfg.strategy = s;
+        Machine m(cfg);
+        cap::Capability obj;
+        bool first_freed = false;
+        bool second_threw = false;
+        m.spawnMutator("core0", 1u << 0, [&](Mutator &ctx) {
+            obj = ctx.malloc(64);
+            ctx.free(obj);
+            first_freed = true;
+        });
+        m.spawnMutator("core1", 1u << 1, [&](Mutator &ctx) {
+            ctx.sleep(100'000); // after core 0's free
+            try {
+                ctx.free(obj);
+            } catch (const std::logic_error &) {
+                second_threw = true;
+            }
+        });
+        m.run();
+        EXPECT_TRUE(first_freed) << core::strategyName(s);
+        EXPECT_TRUE(second_threw) << core::strategyName(s);
+    }
 }
 
 /** Regression pin for the trigger-threshold fix: the revocation

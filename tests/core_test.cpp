@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -287,13 +289,46 @@ TEST(MachineConfigValidation, CoreCountOutOfRangeIsRejected)
     expectRejected(cfg, "cores");
 }
 
-TEST(MachineConfigValidation, AllocCoresOutOfRangeIsRejected)
+TEST(MachineConfigValidation, BadCacheGeometryIsRejected)
 {
     MachineConfig cfg;
-    cfg.alloc_cores = 0;
-    expectRejected(cfg, "alloc_cores");
-    cfg.alloc_cores = cfg.cores + 1;
-    expectRejected(cfg, "alloc_cores");
+    cfg.l1.assoc = 0;
+    expectRejected(cfg, "l1");
+    cfg = MachineConfig{};
+    cfg.l1.size_bytes = 3 * 64 * 4; // three sets
+    expectRejected(cfg, "l1");
+    cfg = MachineConfig{};
+    cfg.llc.assoc = 0;
+    expectRejected(cfg, "llc");
+    cfg = MachineConfig{};
+    cfg.llc.size_bytes = 64; // smaller than one set of 8 ways
+    expectRejected(cfg, "llc");
+}
+
+TEST(MachineConfigValidation, EmptyTraceBufferIsRejected)
+{
+    MachineConfig cfg;
+    cfg.trace = true;
+    cfg.trace_buffer_events = 0;
+    expectRejected(cfg, "trace_buffer_events");
+    // Without tracing no buffer is ever built.
+    cfg.trace = false;
+    EXPECT_EQ(cfg.validate(), "");
+}
+
+TEST(MachineConfigValidation, BadRevokerQuantumScaleIsRejected)
+{
+    // 1e14 x the default 1e6-cycle quantum is past 2^64.
+    const double bad[] = {0.0, -1.0, std::nan(""),
+                          std::numeric_limits<double>::infinity(), 1e14};
+    for (double scale : bad) {
+        MachineConfig cfg;
+        cfg.revoker_quantum_scale = scale;
+        expectRejected(cfg, "revoker_quantum_scale");
+        // Baseline spawns no revoker, so the scale is not consulted.
+        cfg.strategy = Strategy::kBaseline;
+        EXPECT_EQ(cfg.validate(), "") << scale;
+    }
 }
 
 TEST(MachineConfigValidation, RevokerMaskOutsideMachineIsRejected)
@@ -302,7 +337,6 @@ TEST(MachineConfigValidation, RevokerMaskOutsideMachineIsRejected)
     // machine does not have.
     MachineConfig cfg;
     cfg.cores = 2;
-    cfg.alloc_cores = 1;
     expectRejected(cfg, "revoker_core_mask");
     // Baseline spawns no revoker, so the mask is not consulted.
     cfg.strategy = Strategy::kBaseline;

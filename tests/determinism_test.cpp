@@ -71,27 +71,11 @@ fingerprint(const RunMetrics &m)
        << " quar@=" << m.quarantine.sum_quar_at_trigger
        << " blk=" << m.quarantine.blocked_ops
        << " blkcyc=" << m.quarantine.blocked_cycles
-       << " max=" << m.quarantine.max_quarantine_bytes
-       << " rsend=" << m.quarantine.remote_free_sends
-       << " rbatch=" << m.quarantine.remote_batches
-       << " rdrain=" << m.quarantine.remote_drained << "\n";
+       << " max=" << m.quarantine.max_quarantine_bytes << "\n";
     os << "alloc a=" << m.allocator.allocs
        << " f=" << m.allocator.frees
        << " ba=" << m.allocator.bytes_allocated_total
        << " bf=" << m.allocator.bytes_freed_total << "\n";
-    for (std::size_t i = 0; i < m.alloc_shards.size(); ++i) {
-        const auto &sh = m.alloc_shards[i];
-        os << "ashard" << i << " a=" << sh.allocs
-           << " f=" << sh.frees << " ba=" << sh.bytes_allocated_total
-           << " bf=" << sh.bytes_freed_total << "\n";
-    }
-    for (std::size_t i = 0; i < m.quarantine_shards.size(); ++i) {
-        const auto &sh = m.quarantine_shards[i];
-        os << "qshard" << i << " rs=" << sh.remote_sends
-           << " rb=" << sh.remote_batches
-           << " rd=" << sh.remote_drained
-           << " trig=" << sh.triggers << "\n";
-    }
     os << "mmu df=" << m.mmu.demand_faults
        << " lbf=" << m.mmu.load_barrier_faults
        << " shoot=" << m.mmu.tlb_shootdowns
@@ -382,10 +366,10 @@ TEST(Determinism, GoldenFingerprints)
 }
 
 /** Producer/consumer churn where the bulk of frees happen on a
- *  different core than the allocation, driving the remote-dealloc
- *  message queues (DESIGN.md §15). Exactly one simulated thread runs
- *  at a time, so the shared host-side queue needs no host locking and
- *  hand-off order is fully scheduler-determined. */
+ *  different core than the allocation, so the heap lock and the
+ *  quarantine are shared across cores. Exactly one simulated thread
+ *  runs at a time, so the shared host-side queue needs no host locking
+ *  and hand-off order is fully scheduler-determined. */
 void
 crossCoreChurn(Machine &m, int iters)
 {
@@ -423,13 +407,12 @@ crossCoreChurn(Machine &m, int iters)
 }
 
 RunMetrics
-runCrossCore(Strategy s, unsigned alloc_cores, bool chaos)
+runCrossCore(Strategy s, bool chaos)
 {
     MachineConfig cfg;
     cfg.strategy = s;
     cfg.policy = workload::specPolicy();
     cfg.policy.min_bytes = 32 * 1024;
-    cfg.alloc_cores = alloc_cores;
     cfg.seed = 7;
     if (chaos) {
         cfg.audit = true;
@@ -453,35 +436,23 @@ runCrossCore(Strategy s, unsigned alloc_cores, bool chaos)
     return m.metrics();
 }
 
-/** Absolute pin of per-core allocator sharding (DESIGN.md §15): the
- *  cross-core churn at alloc_cores 1, 2 and 4, plain and under chaos,
- *  for every strategy, must reproduce the checked-in fingerprints. The
- *  workload must drive the remote-dealloc path once sharded, and never
- *  in the single-heap reference model. */
-TEST(Determinism, GoldenAllocShardingFingerprints)
+/** Absolute pin of the cross-core heap: the producer/consumer churn,
+ *  plain and under chaos, for every strategy, must reproduce the
+ *  checked-in fingerprints. */
+TEST(Determinism, GoldenCrossCoreFingerprints)
 {
     const std::map<std::string, std::string> golden = loadGoldens();
     ASSERT_FALSE(golden.empty()) << "no goldens in "
                                  << CREV_GOLDEN_FINGERPRINTS;
     for (Strategy s : core::kAllStrategies) {
-        for (unsigned ac : {1u, 2u, 4u}) {
-            for (bool chaos : {false, true}) {
-                const std::string key =
-                    std::string("cross-core ") +
-                    (chaos ? "chaos" : "spec") + " alloc_cores=" +
-                    std::to_string(ac) + " " + core::strategyName(s);
-                const RunMetrics m = runCrossCore(s, ac, chaos);
-                const std::string actual = fingerprint(m);
-                EXPECT_EQ(actual, goldenEntry(golden, key))
-                    << "actual entry:\n[" << key << "]\n"
-                    << actual;
-                if (chaos)
-                    continue;
-                if (ac == 1)
-                    EXPECT_EQ(m.quarantine.remote_free_sends, 0u) << key;
-                else
-                    EXPECT_GT(m.quarantine.remote_free_sends, 0u) << key;
-            }
+        for (bool chaos : {false, true}) {
+            const std::string key = std::string("cross-core ") +
+                                    (chaos ? "chaos " : "spec ") +
+                                    core::strategyName(s);
+            const std::string actual = fingerprint(runCrossCore(s, chaos));
+            EXPECT_EQ(actual, goldenEntry(golden, key))
+                << "actual entry:\n[" << key << "]\n"
+                << actual;
         }
     }
 }

@@ -2,13 +2,11 @@
  * @file
  * Unit tests for the RecoveryManager (DESIGN.md §13): ticket
  * lifecycle accounting, retry exhaustion, deadline expiry, and the
- * saturating backoff arithmetic that must match the watchdog
- * ladder's established overflow-safe form bit for bit.
+ * saturating backoff the watchdog ladder shares.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -145,40 +143,49 @@ TEST(RecoveryManager, BackoffDoublesThenSaturates)
     });
 }
 
-TEST(RecoveryManager, BackoffMatchesWatchdogLadderArithmetic)
+/** saturatingBackoff() — which the watchdog ladder and every
+ *  manager protocol share — at its overflow-prone corners: zero base,
+ *  a base in the top bits of Cycles, a tiny cap and a huge one. */
+TEST(RecoveryManager, BackoffSaturatesAtOverflowCorners)
 {
-    // The kEpochLadder refactor must not change ladder timings: for
-    // every (base, cap, attempt) the manager's backoff must equal the
-    // watchdog's backoffDelay — including the overflow-prone corners
-    // (base in the top bits of Cycles, zero base, tiny cap).
-    const Cycles bases[] = {0, 1, 1000, 250'000, Cycles{1} << 58,
-                            Cycles{1} << 62};
-    const Cycles caps[] = {1, 1000, 16'000'000, Cycles{1} << 60};
-    for (Cycles base : bases) {
-        for (Cycles cap : caps) {
-            RecoveryManager rm;
-            RecoveryPolicy pol;
-            pol.backoff_base = base;
-            pol.max_backoff = cap;
-            rm.setPolicy(RecoveryProtocol::kEpochLadder, pol);
-            RecoveryManager::Ticket tk;
-            tk.proto = RecoveryProtocol::kEpochLadder;
-            tk.open = true;
-            for (unsigned attempt = 0; attempt < 10; ++attempt) {
-                tk.attempts = attempt;
-                const Cycles expect_cap =
-                    std::max<Cycles>(cap, 1);
-                const Cycles expect_base =
-                    std::max<Cycles>(base, 1);
-                const unsigned shift = std::min(attempt, 6u);
-                const Cycles want =
-                    expect_base > (expect_cap >> shift)
-                        ? expect_cap
-                        : std::min(expect_base << shift, expect_cap);
-                EXPECT_EQ(rm.backoff(tk), want)
-                    << "base=" << base << " cap=" << cap
-                    << " attempt=" << attempt;
-            }
+    constexpr Cycles k58 = Cycles{1} << 58;
+    constexpr Cycles k59 = Cycles{1} << 59;
+    constexpr Cycles k60 = Cycles{1} << 60;
+    constexpr Cycles k62 = Cycles{1} << 62;
+    struct Row
+    {
+        Cycles base;
+        Cycles cap;
+        Cycles want[10]; //!< attempts 0..9
+    };
+    const Row rows[] = {
+        {0, 1, {1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+        {1, 1, {1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+        {k58, 1, {1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+        {k62, 1, {1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+        {0, k60, {1, 2, 4, 8, 16, 32, 64, 64, 64, 64}},
+        {1, k60, {1, 2, 4, 8, 16, 32, 64, 64, 64, 64}},
+        {k58, k60, {k58, k59, k60, k60, k60, k60, k60, k60, k60, k60}},
+        {k62, k60, {k60, k60, k60, k60, k60, k60, k60, k60, k60, k60}},
+    };
+    for (const Row &r : rows) {
+        RecoveryManager rm;
+        RecoveryPolicy pol;
+        pol.backoff_base = r.base;
+        pol.max_backoff = r.cap;
+        rm.setPolicy(RecoveryProtocol::kEpochLadder, pol);
+        RecoveryManager::Ticket tk;
+        tk.proto = RecoveryProtocol::kEpochLadder;
+        tk.open = true;
+        for (unsigned attempt = 0; attempt < 10; ++attempt) {
+            tk.attempts = attempt;
+            EXPECT_EQ(saturatingBackoff(r.base, r.cap, attempt),
+                      r.want[attempt])
+                << "base=" << r.base << " cap=" << r.cap
+                << " attempt=" << attempt;
+            EXPECT_EQ(rm.backoff(tk), r.want[attempt])
+                << "base=" << r.base << " cap=" << r.cap
+                << " attempt=" << attempt;
         }
     }
 }

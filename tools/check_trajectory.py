@@ -21,14 +21,15 @@ bench_all trajectory files (DESIGN.md §9):
     "sim_results_match" true (serial token engine and lockstep engine
     produced identical RunMetrics) and "intra_cell_speedup" >= 1.0
     (the lockstep engine was never slower than the reference);
-  - runs carrying an "alloc_shard" record (DESIGN.md §15) must have
+  - runs carrying an "alloc_shard" record (written while the
+    allocator could be sharded per core) must have
     "sim_results_match" true (identical RunMetrics across trials at
     every shard count; two-engine records also compared the engines)
     and "remote_free_sends" > 0 (the sharded cell really drove the
     remote-dealloc queues); records that emit a "min_leg_seconds"
     floor must have every timed "*_seconds" leg they carry at or
     above it (sub-threshold legs are pure host jitter, not
-    measurements) — "single_seconds"/"sharded_seconds" in current
+    measurements) — "single_seconds"/"sharded_seconds" in one-engine
     records, four per-engine legs in two-engine ones;
   - runs carrying a "kernels" record (written by older bench_all
     builds with SIMD sweep kernels) must have "sim_results_match"
@@ -108,8 +109,8 @@ def check_trajectory_runs(runs):
                     f"lockstep engine slower than serial "
                     f"(speedup {speedup})"
                 )
-        # Older runs predate the sharded-allocator comparison; gate it
-        # only where recorded.
+        # Only runs from the sharded-allocator era carry the
+        # alloc_shard A/B; gate it where recorded.
         ashard = run.get("alloc_shard")
         if ashard is not None:
             if ashard.get("sim_results_match") is not True:

@@ -245,23 +245,7 @@ def run_self_test():
         print("self-test: missing waivers.cc fixture")
         ok = False
 
-    # 3. The clean-splice fixture pins the legal remote-dealloc splice
-    #    idiom (NoYield window around the inbox RMW, with charging via
-    #    the noyield-aware accrue): it must stay clean.
-    clean = os.path.join(FIXTURE_DIR, "clean_splice.cc")
-    if os.path.exists(clean):
-        _ctx, findings = analyze([clean])
-        if findings:
-            print("self-test: clean_splice fixture raised:")
-            print_findings(findings)
-            ok = False
-        else:
-            print("self-test: %-20s clean as required" % "clean_splice")
-    else:
-        print("self-test: missing clean_splice.cc fixture")
-        ok = False
-
-    # 4. Call-graph extractor ground truth.
+    # 3. Call-graph extractor ground truth.
     cg_dir = os.path.join(FIXTURE_DIR, "callgraph")
     cg_paths = []
     if os.path.isdir(cg_dir):
@@ -293,7 +277,7 @@ def run_self_test():
         else:
             print("self-test: %-20s edges match exactly" % "callgraph")
 
-    # 5. Report determinism: two independent runs over the fixtures
+    # 4. Report determinism: two independent runs over the fixtures
     #    must render byte-identical reports.
     all_fix = [os.path.join(FIXTURE_DIR, f)
                for f in sorted(os.listdir(FIXTURE_DIR))

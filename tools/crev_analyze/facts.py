@@ -104,12 +104,6 @@ SHARED_STATE = [
      "the shadow-summary block counts (domain: shadow)"),
     (mutation_re("count_"), "count_", "revoker",
      "the shadow-summary population count (domain: shadow)"),
-    (mutation_re("inbox_head"), "inbox_head", "alloc",
-     "the remote-dealloc inbox chain head (domain: remote-queue)"),
-    (mutation_re("inbox_head_cap"), "inbox_head_cap", "alloc",
-     "the remote-dealloc inbox head capability (domain: remote-queue)"),
-    (mutation_re("inbox_count"), "inbox_count", "alloc",
-     "the remote-dealloc inbox length (domain: remote-queue)"),
 ]
 
 #: Off-clock observer components: they run outside the simulated cost
