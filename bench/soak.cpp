@@ -18,13 +18,18 @@
  *
  * Usage: soak [--quick] [--cycles N] [--out FILE] [--label NAME]
  *   --quick:  CI-sized campaign (50M virtual cycles per strategy).
- *   --cycles: explicit virtual-cycle target per strategy
- *             (default 2,000,000,000).
+ *   --cycles: explicit virtual-cycle target per strategy, a positive
+ *             decimal (default 2,000,000,000).
+ * Any other argument, or a missing or malformed value, prints the
+ * usage line and exits 2.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -240,6 +245,21 @@ readPreviousRuns(const std::string &path)
     return runs.substr(first, last - first + 1);
 }
 
+/** Parse a positive decimal cycle count; false on anything else. */
+bool
+parseCycles(const char *text, Cycles *out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v == 0)
+        return false;
+    *out = v;
+    return true;
+}
+
 } // namespace
 
 int
@@ -250,16 +270,28 @@ main(int argc, char **argv)
     bool explicit_cycles = false;
     std::string out_path = "BENCH_SOAK.json";
     std::string label = "local";
+    // Anything unknown, a missing value or a malformed cycle count is
+    // rejected before a campaign starts.
     for (int i = 1; i < argc; ++i) {
+        const bool has_value = i + 1 < argc;
         if (std::strcmp(argv[i], "--quick") == 0)
             quick = true;
-        else if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc) {
-            target = std::strtoull(argv[++i], nullptr, 10);
+        else if (std::strcmp(argv[i], "--cycles") == 0 && has_value &&
+                 parseCycles(argv[i + 1], &target)) {
+            ++i;
             explicit_cycles = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
+        } else if (std::strcmp(argv[i], "--out") == 0 && has_value)
             out_path = argv[++i];
-        else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc)
+        else if (std::strcmp(argv[i], "--label") == 0 && has_value)
             label = argv[++i];
+        else {
+            std::fprintf(stderr,
+                         "soak: bad argument '%s'\n"
+                         "usage: soak [--quick] [--cycles N] "
+                         "[--out FILE] [--label NAME]\n",
+                         argv[i]);
+            return 2;
+        }
     }
     if (quick && !explicit_cycles)
         target = 50'000'000;

@@ -25,8 +25,7 @@ CornucopiaRevoker::doEpoch(sim::SimThread &self)
     const Cycles cbegin = self.now();
     tracePhaseBegin(self, trace::Phase::kConcurrentSweep);
     const std::vector<Addr> pages =
-        collectPages(as.capEverPages(),
-                     [](const vm::Pte &p) { return p.cap_ever; });
+        collectPages([](const vm::Pte &p) { return p.cap_ever; });
     PublishOptions dirty_clear;
     dirty_clear.set_generation = false;
     dirty_clear.charge_and_shootdown = false;
@@ -50,11 +49,8 @@ CornucopiaRevoker::doEpoch(sim::SimThread &self)
     const Cycles begin = stwBegin(self);
     tracePhaseBegin(self, trace::Phase::kStwScan);
     scanRegistersAndHoards(self);
-    // The cap-dirty index narrows the re-sweep to pages actually
-    // re-dirtied during phase 1 without another full walk.
     const std::vector<Addr> redirtied =
-        collectPages(as.capDirtyPages(),
-                     [](const vm::Pte &p) { return p.cap_dirty; });
+        collectPages([](const vm::Pte &p) { return p.cap_dirty; });
     for (Addr va : redirtied) {
         sweep_.sweepPage(self, va);
         vm::Pte *p = as.findPte(va);

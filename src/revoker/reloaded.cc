@@ -108,13 +108,10 @@ ReloadedRevoker::nextWork()
 void
 ReloadedRevoker::collectStalePages()
 {
-    // The resident-page index replaces the full page-table walk
-    // (identical ascending list: the index mirrors the valid PTEs).
     const unsigned gen = mmu_.currentGen();
-    work_ = collectPages(
-        mmu_.addressSpace().residentPageSet(), [gen](const vm::Pte &p) {
-            return p.clg != gen && !p.cap_load_trap;
-        });
+    work_ = collectPages([gen](const vm::Pte &p) {
+        return p.clg != gen && !p.cap_load_trap;
+    });
     work_next_ = 0;
 }
 

@@ -93,16 +93,13 @@ Revoker::commitOracle(sim::SimThread &self)
 }
 
 std::vector<Addr>
-Revoker::collectPages(const std::set<Addr> &index,
-                      const std::function<bool(const vm::Pte &)> &want)
+Revoker::collectPages(const std::function<bool(const vm::Pte &)> &want)
 {
     std::vector<Addr> pages;
-    vm::AddressSpace &as = mmu_.addressSpace();
-    for (Addr va : index) {
-        const vm::Pte *p = as.findPte(va);
-        if (p != nullptr && p->valid && want(*p))
+    mmu_.addressSpace().forEachResidentPage([&](Addr va, vm::Pte &p) {
+        if (want(p))
             pages.push_back(va);
-    }
+    });
     return pages;
 }
 

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -240,15 +239,11 @@ class Revoker
     void commitOracle(sim::SimThread &self);
 
     /**
-     * Collect the strategy's sweep candidates: the pages of @p index
-     * (a host-side AddressSpace page index) whose live PTE satisfies
-     * @p want, in ascending VA order. The indexes are supersets of
-     * the flagged pages, so this is exactly the list a full
-     * page-table walk would produce (DESIGN.md §12.2).
+     * Collect the strategy's sweep candidates: the resident pages
+     * whose PTE satisfies @p want, in ascending VA order.
      */
     std::vector<Addr>
-    collectPages(const std::set<Addr> &index,
-                 const std::function<bool(const vm::Pte &)> &want);
+    collectPages(const std::function<bool(const vm::Pte &)> &want);
 
     /**
      * Enter stop-the-world, applying any injected entry delay (lost

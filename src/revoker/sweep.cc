@@ -100,8 +100,6 @@ SweepEngine::publishPage(sim::SimThread &t, vm::Pte &p, Addr page_va,
     const bool clean = o.clean && !mmu_.pageHasTags(page_va);
     if (clean && o.clean_page_detection)
         p.cap_ever = false;
-    mmu_.addressSpace().noteCapPublish(page_va,
-                                       clean && o.clean_page_detection);
     if (o.set_generation) {
         if (clean && o.always_trap_clean) {
             // §7.6: leave the page in the always-trap disposition; its

@@ -1,5 +1,7 @@
 #include "vm/address_space.h"
 
+#include <bit>
+
 #include "base/logging.h"
 #include "cap/compression.h"
 #include "check/race_checker.h"
@@ -8,35 +10,51 @@ namespace crev::vm {
 
 namespace {
 
-// Flat-window extents (DESIGN.md §14.4). Every PTE the simulator ever
-// creates lives in the heap window (reserve() hands out only
-// [kHeapBase, kHeapCeiling)) or the shadow window (implicit shadow
-// object, materialised by makeResident); guard pages exist only inside
-// heap reservations.
+// Every PTE lives in the heap window ([kHeapBase, kHeapCeiling), where
+// reserve() hands out VA) or the shadow window (the implicit shadow
+// object makeResident materialises). Slot i of the page-table store is
+// heap page i, then shadow page i - kHeapWindowPages, so ascending
+// slots are ascending VAs.
 constexpr std::size_t kHeapWindowPages =
     static_cast<std::size_t>((kHeapCeiling - kHeapBase) / kPageSize);
 constexpr Addr kShadowWindowEnd = shadowByteFor(kHeapCeiling) + kPageSize;
 constexpr std::size_t kShadowWindowPages =
     static_cast<std::size_t>((kShadowWindowEnd - kShadowBase) /
                              kPageSize);
+constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+/** Store slot of page base @p page; kNoSlot outside both windows. */
+std::size_t
+slotOf(Addr page)
+{
+    if (page >= kHeapBase && page < kHeapCeiling)
+        return static_cast<std::size_t>((page - kHeapBase) / kPageSize);
+    if (page >= kShadowBase && page < kShadowWindowEnd)
+        return kHeapWindowPages +
+               static_cast<std::size_t>((page - kShadowBase) / kPageSize);
+    return kNoSlot;
+}
 
 } // namespace
 
 AddressSpace::AddressSpace(mem::PhysMem &pm)
-    : pm_(pm), heap_pte_(kHeapWindowPages, nullptr),
-      shadow_pte_(kShadowWindowPages, nullptr),
-      heap_guard_(kHeapWindowPages, 0)
+    : pm_(pm),
+      pte_blocks_((kHeapWindowPages + kShadowWindowPages +
+                   kBlockPages - 1) /
+                  kBlockPages)
 {
+    static_assert(kHeapWindowPages % kBlockPages == 0);
 }
 
-Pte **
-AddressSpace::fastSlot(Addr page)
+std::pair<AddressSpace::PteBlock *, std::size_t>
+AddressSpace::touch(Addr va)
 {
-    if (page >= kHeapBase && page < kHeapCeiling)
-        return &heap_pte_[(page - kHeapBase) / kPageSize];
-    if (page >= kShadowBase && page < kShadowWindowEnd)
-        return &shadow_pte_[(page - kShadowBase) / kPageSize];
-    return nullptr;
+    const std::size_t i = slotOf(pageBase(va));
+    CREV_ASSERT(i != kNoSlot);
+    std::unique_ptr<PteBlock> &b = pte_blocks_[i / kBlockPages];
+    if (b == nullptr)
+        b = std::make_unique<PteBlock>();
+    return {b.get(), i % kBlockPages};
 }
 
 Addr
@@ -61,19 +79,18 @@ AddressSpace::reserve(Addr length, bool cap_store)
     // monotone, never recycled), so the end hint makes this O(1)
     // instead of a root-to-leaf rb-tree descent.
     reservations_.emplace_hint(reservations_.end(), base, r);
-    mapped_bytes_ += req;
 
     // Representability padding starts life as guard pages
     // (paper footnote 26); they are part of the reservation but any
     // touch faults.
     for (Addr va = base; va < base + padded; va += kPageSize) {
-        Pte &p = pte(va);
-        p = Pte{};
-        p.cap_store = cap_store;
-        p.write = true;
+        auto [b, j] = touch(va);
+        b->mapped.set(j);
+        if (va >= base + req)
+            b->guard.set(j);
+        b->ptes[j] = Pte{};
+        b->ptes[j].cap_store = cap_store;
     }
-    for (Addr va = base + req; va < base + padded; va += kPageSize)
-        guardPage(va);
     return base;
 }
 
@@ -88,14 +105,6 @@ AddressSpace::canReserve(Addr length) const
     const Addr padded = roundUp(cap::representableLength(req), kPageSize);
     const Addr base = roundUp(next_va_, align);
     return base + padded <= kHeapCeiling;
-}
-
-void
-AddressSpace::guardPage(Addr va)
-{
-    const Addr page = pageBase(va);
-    CREV_ASSERT(page >= kHeapBase && page < kHeapCeiling);
-    heap_guard_[(page - kHeapBase) / kPageSize] = 1;
 }
 
 void
@@ -115,24 +124,22 @@ AddressSpace::unmap(sim::SimThread &t, Addr base, Addr length)
     }
 
     for (Addr va = base; va < base + length; va += kPageSize) {
-        if (isGuarded(va))
+        auto [b, j] = touch(va);
+        if (b->guard.test(j))
             continue;
-        auto it = pages_.find(va);
-        CREV_ASSERT(it != pages_.end());
-        if (it->second.valid) {
-            pm_.freeFrame(it->second.pfn);
-            freed_frames_.push_back(it->second.pfn);
-            it->second.valid = false;
-            it->second.pfn = 0;
+        CREV_ASSERT(b->mapped.test(j));
+        Pte &p = b->ptes[j];
+        if (p.valid) {
+            pm_.freeFrame(p.pfn);
+            freed_frames_.push_back(p.pfn);
+            p.valid = false;
+            p.pfn = 0;
             --resident_;
-            resident_pages_.erase(va);
-            cap_ever_pages_.erase(va);
-            cap_dirty_pages_.erase(va);
+            b->resident.clear(j);
         }
-        guardPage(va);
+        b->guard.set(j);
         CREV_ASSERT(r->mapped_bytes >= kPageSize);
         r->mapped_bytes -= kPageSize;
-        mapped_bytes_ -= kPageSize;
     }
 
     if (r->mapped_bytes == 0) {
@@ -166,15 +173,16 @@ AddressSpace::release(sim::SimThread &t, Reservation *r)
              va += kPageSize)
             checker_->onPteTeardown(t.id(), t.now(), va, locked);
     }
+    // Reset the entries in place (guard bits stay): blocks are never
+    // freed, so no Pte* anyone still holds can dangle. The reset names
+    // pte_blocks_ so crev_analyze sees the page-table teardown.
     for (Addr va = r->base; va < r->base + r->length; va += kPageSize) {
-        if (Pte **s = fastSlot(va))
-            *s = nullptr;
-        pages_.erase(va);
-        resident_pages_.erase(va);
-        cap_ever_pages_.erase(va);
-        cap_dirty_pages_.erase(va);
+        const std::size_t i = slotOf(va);
+        const std::size_t j = i % kBlockPages;
+        pte_blocks_[i / kBlockPages]->ptes[j] = Pte{};
+        pte_blocks_[i / kBlockPages]->mapped.clear(j);
+        pte_blocks_[i / kBlockPages]->resident.clear(j);
     }
-    ++pt_epoch_; // dangles any host-cached Pte pointers
 
     // Virtual addresses are never recycled: address-space non-reuse is
     // exactly the property revocation protects.
@@ -193,78 +201,42 @@ AddressSpace::reservationFor(Addr va)
     return nullptr;
 }
 
-Pte &
-AddressSpace::pte(Addr va)
+AddressSpace::Walk
+AddressSpace::walk(Addr va, bool is_store, bool is_cap_store) const
 {
-    const Addr page = pageBase(va);
-    if (Pte **s = fastSlot(page)) {
-        if (*s == nullptr)
-            *s = &pages_[page];
-        return **s;
-    }
-    return pages_[page];
-}
-
-Pte *
-AddressSpace::findPte(Addr va)
-{
-    const Addr page = pageBase(va);
-    if (Pte **s = fastSlot(page))
-        return *s;
-    auto it = pages_.find(page);
-    return it == pages_.end() ? nullptr : &it->second;
-}
-
-bool
-AddressSpace::inShadow(Addr va)
-{
-    return va >= kShadowBase &&
-           va < shadowByteFor(kHeapCeiling) + kPageSize;
-}
-
-FaultKind
-AddressSpace::classify(Addr va, bool is_store, bool is_cap_store) const
-{
-    const Addr page = pageBase(va);
-    const Pte *p;
-    if (page >= kHeapBase && page < kHeapCeiling) {
-        const std::size_t i =
-            static_cast<std::size_t>((page - kHeapBase) / kPageSize);
-        if (heap_guard_[i])
-            return FaultKind::kGuard;
-        p = heap_pte_[i];
-        if (p == nullptr) // heap VA: never in the shadow region
-            return FaultKind::kNotMapped;
-    } else if (page >= kShadowBase && page < kShadowWindowEnd) {
-        // Shadow pages are never guarded (guards live inside heap
-        // reservations only).
-        p = shadow_pte_[(page - kShadowBase) / kPageSize];
-        if (p == nullptr) // implicit kernel-provided anonymous object
-            return FaultKind::kDemandZero;
-    } else {
-        // Outside both windows: no guards and no implicit object.
-        auto pit = pages_.find(page);
-        if (pit == pages_.end())
-            return FaultKind::kNotMapped;
-        p = &pit->second;
+    const std::size_t i = slotOf(pageBase(va));
+    if (i == kNoSlot)
+        return {FaultKind::kNotMapped, nullptr};
+    PteBlock *b = pte_blocks_[i / kBlockPages].get();
+    const std::size_t j = i % kBlockPages;
+    Pte *p = b != nullptr && b->mapped.test(j) ? &b->ptes[j] : nullptr;
+    if (b != nullptr && b->guard.test(j))
+        return {FaultKind::kGuard, p};
+    if (p == nullptr) {
+        // The shadow window is an implicit kernel-provided anonymous
+        // object; heap VA outside every reservation is unmapped.
+        return {i >= kHeapWindowPages ? FaultKind::kDemandZero
+                                      : FaultKind::kNotMapped,
+                nullptr};
     }
     if (!p->valid)
-        return FaultKind::kDemandZero;
+        return {FaultKind::kDemandZero, p};
     if (is_store && !p->write)
-        return FaultKind::kWriteProtect;
+        return {FaultKind::kWriteProtect, p};
     if (is_cap_store && !p->cap_store)
-        return FaultKind::kCapStore;
-    return FaultKind::kNone;
+        return {FaultKind::kCapStore, p};
+    return {FaultKind::kNone, p};
 }
 
 Pte &
 AddressSpace::makeResident(Addr va)
 {
-    const Addr page = pageBase(va);
-    CREV_ASSERT(!isGuarded(page));
-    Pte &p = pte(page);
+    auto [b, j] = touch(va);
+    CREV_ASSERT(!b->guard.test(j));
+    b->mapped.set(j);
+    Pte &p = b->ptes[j];
     if (!p.valid) {
-        if (inShadow(va)) {
+        if (va >= kShadowBase) {
             // The shadow bitmap never carries capabilities.
             p.cap_store = false;
             p.write = true;
@@ -272,7 +244,7 @@ AddressSpace::makeResident(Addr va)
         p.pfn = pm_.allocFrame();
         p.valid = true;
         ++resident_;
-        resident_pages_.insert(page);
+        b->resident.set(j);
     }
     return p;
 }
@@ -281,9 +253,31 @@ void
 AddressSpace::forEachResidentPage(
     const std::function<void(Addr, Pte &)> &fn)
 {
-    for (auto &[va, p] : pages_)
-        if (p.valid)
-            fn(va, p);
+    // Slots ascend with VA. Each word is re-read after every visit,
+    // so a page fn makes resident (a shadow page a sweep touches) is
+    // visited iff it lies above the current one, as in an ordered
+    // walk.
+    for (std::size_t bi = 0; bi < pte_blocks_.size(); ++bi) {
+        PteBlock *b = pte_blocks_[bi].get();
+        if (b == nullptr)
+            continue;
+        for (std::size_t w = 0; w < b->resident.w.size(); ++w) {
+            std::uint64_t seen = 0;
+            while (const std::uint64_t m = b->resident.w[w] & ~seen) {
+                const unsigned k =
+                    static_cast<unsigned>(std::countr_zero(m));
+                seen = (2ull << k) - 1;
+                const std::size_t j = w * 64 + k;
+                const std::size_t i = bi * kBlockPages + j;
+                const Addr va =
+                    i < kHeapWindowPages
+                        ? kHeapBase + i * kPageSize
+                        : kShadowBase +
+                              (i - kHeapWindowPages) * kPageSize;
+                fn(va, b->ptes[j]);
+            }
+        }
+    }
 }
 
 void

@@ -10,15 +10,19 @@
  * capabilities referencing it.
  *
  * Pages are demand-zero: the first touch allocates a physical frame.
- * The page table is an ordered map so sweeps iterate deterministically.
+ * The page table is one array of lazily allocated 512-PTE blocks over
+ * the heap window, then the shadow window; resident pages are
+ * enumerated in ascending VA order from per-block bitmaps.
  */
 
 #ifndef CREV_VM_ADDRESS_SPACE_H_
 #define CREV_VM_ADDRESS_SPACE_H_
 
+#include <array>
 #include <functional>
 #include <map>
-#include <set>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "base/types.h"
@@ -114,71 +118,43 @@ class AddressSpace
     /** The reservation containing @p va, or nullptr. */
     Reservation *reservationFor(Addr va);
 
-    /** PTE for @p va, creating an empty entry if absent. */
-    Pte &pte(Addr va);
-    /** PTE lookup without creation. */
-    Pte *findPte(Addr va);
+    /** One page-table walk: the fault a touch raises, and the PTE. */
+    struct Walk
+    {
+        FaultKind fault;
+        Pte *pte; //!< findPte() of the page (may be set on a fault)
+    };
+
+    /** Walk the page table for a touch of @p va (no side effects). */
+    Walk walk(Addr va, bool is_store, bool is_cap_store) const;
+
+    /**
+     * PTE lookup without creation: null where no reserve() (or, in the
+     * shadow window, no touch) has created an entry, and after
+     * release().
+     */
+    Pte *findPte(Addr va) { return walk(va, false, false).pte; }
 
     /** Classify a touch of @p va (no side effects). */
-    FaultKind classify(Addr va, bool is_store, bool is_cap_store) const;
+    FaultKind
+    classify(Addr va, bool is_store, bool is_cap_store) const
+    {
+        return walk(va, is_store, is_cap_store).fault;
+    }
 
     /** Make the page containing @p va resident (demand-zero). */
     Pte &makeResident(Addr va);
 
     /**
      * Iterate over resident pages in ascending VA order. @p fn
-     * receives the page's base VA and its PTE.
+     * receives the page's base VA and its PTE. A page @p fn makes
+     * resident is visited iff it lies above the current one.
      */
     void forEachResidentPage(
         const std::function<void(Addr, Pte &)> &fn);
 
     /** Number of resident pages (RSS in pages). */
     std::size_t residentPages() const { return resident_; }
-
-    // --- host-side page indexes (zero simulated cost) ---
-    //
-    // Ordered sets of page base VAs maintained at the existing
-    // residency / storeCap / publishPage choke points, so sweeps can
-    // enumerate candidate pages without walking the whole page table.
-    // residentPageSet() is an exact mirror of the valid PTEs; the
-    // cap-ever and cap-dirty indexes are *supersets* of the pages
-    // whose live PTE flag is set (flags are only ever raised through
-    // storeCap, but tests may lower them directly), so consumers must
-    // re-check the live PTE. Ascending order keeps index-driven sweeps
-    // visiting pages in exactly the page-table walk's order.
-
-    /** Base VAs of all resident pages, ascending. */
-    const std::set<Addr> &residentPageSet() const
-    {
-        return resident_pages_;
-    }
-    /** Superset of pages with the cap_ever PTE flag set. */
-    const std::set<Addr> &capEverPages() const
-    {
-        return cap_ever_pages_;
-    }
-    /** Superset of pages with the cap_dirty PTE flag set. */
-    const std::set<Addr> &capDirtyPages() const
-    {
-        return cap_dirty_pages_;
-    }
-
-    /** Index hook for the storeCap choke point (tag stored to page). */
-    void noteCapStore(Addr page_va)
-    {
-        cap_ever_pages_.insert(page_va);
-        cap_dirty_pages_.insert(page_va);
-    }
-    /**
-     * Index hook for the publishPage choke point: cap_dirty was just
-     * cleared; cap_ever too when @p ever_cleared.
-     */
-    void noteCapPublish(Addr page_va, bool ever_cleared)
-    {
-        cap_dirty_pages_.erase(page_va);
-        if (ever_cleared)
-            cap_ever_pages_.erase(page_va);
-    }
 
     /** The pmap lock serialising PTE updates during revocation. */
     sim::SimMutex &pmapLock() { return pmap_lock_; }
@@ -200,58 +176,43 @@ class AddressSpace
 
     mem::PhysMem &physMem() { return pm_; }
 
-    /** Bytes currently mapped across active reservations. */
-    Addr mappedBytes() const { return mapped_bytes_; }
-
-    /** Whether @p va lies in the shadow-bitmap region. */
-    static bool inShadow(Addr va);
-
-    /**
-     * Monotone counter bumped whenever page-table entries are erased
-     * (reservation release). Host-side translation caches holding Pte
-     * pointers must revalidate against it; insertions never move
-     * existing entries, so they need no bump.
-     */
-    std::uint64_t pageTableEpoch() const { return pt_epoch_; }
-
   private:
-    /** Turn the page containing @p va into a guard page. */
-    void guardPage(Addr va);
+    // The page-table store (DESIGN.md §14.4).
+    static constexpr std::size_t kBlockPages = 512;
 
-    /** Whether page base @p page is a guard page (guards exist only
-     *  inside heap reservations). */
-    bool
-    isGuarded(Addr page) const
+    /** One bit per slot of a block. */
+    struct Bits
     {
-        return page >= kHeapBase && page < kHeapCeiling &&
-               heap_guard_[(page - kHeapBase) / kPageSize] != 0;
-    }
+        std::array<std::uint64_t, kBlockPages / 64> w{};
+        bool test(std::size_t j) const { return w[j / 64] >> (j % 64) & 1; }
+        void set(std::size_t j) { w[j / 64] |= 1ull << (j % 64); }
+        void clear(std::size_t j) { w[j / 64] &= ~(1ull << (j % 64)); }
+    };
 
-    /** Flat-window slot for page base @p page; null if outside. */
-    Pte **fastSlot(Addr page);
+    /** 512 PTEs and their bitmaps; allocated on first touch and
+     *  never freed, so a held Pte* stays valid for the run. */
+    struct PteBlock
+    {
+        std::array<Pte, kBlockPages> ptes{};
+        Bits mapped;   //!< slot holds a PTE (findPte non-null)
+        Bits guard;    //!< guard page (heap reservations only)
+        Bits resident; //!< ptes[j].valid
+    };
+
+    /** The block (allocated on first touch) and in-block index of
+     *  the slot of @p va, which must lie in a window. */
+    std::pair<PteBlock *, std::size_t> touch(Addr va);
 
     mem::PhysMem &pm_;
-    std::map<Addr, Pte> pages_; //!< keyed by page base VA
     std::map<Addr, Reservation> reservations_; //!< keyed by base
-    std::set<Addr> resident_pages_;  //!< exact mirror of valid PTEs
-    std::set<Addr> cap_ever_pages_;  //!< superset: cap_ever pages
-    std::set<Addr> cap_dirty_pages_; //!< superset: cap_dirty pages
+    /** Heap-window blocks, then shadow-window blocks (null until
+     *  first touched). */
+    std::vector<std::unique_ptr<PteBlock>> pte_blocks_;
     std::vector<Reservation *> newly_quarantined_;
     std::vector<Addr> freed_frames_;
-    // Flat page-table windows (DESIGN.md §14.4): direct-indexed
-    // Pte-pointer mirrors of pages_ for the heap and shadow regions,
-    // plus the heap's guard-page byte map, so classify(),
-    // findPte() and pte() resolve without ordered-map lookups. Slots
-    // point at std::map nodes (stable until release() erases them,
-    // which also nulls the slot).
-    std::vector<Pte *> heap_pte_;   //!< heap-window mirror of pages_
-    std::vector<Pte *> shadow_pte_; //!< shadow-window mirror
-    std::vector<std::uint8_t> heap_guard_; //!< 1 = heap guard page
     sim::SimMutex pmap_lock_;
     check::RaceChecker *checker_ = nullptr;
-    std::uint64_t pt_epoch_ = 0;
     Addr next_va_ = kHeapBase;
-    Addr mapped_bytes_ = 0;
     std::size_t resident_ = 0;
 };
 

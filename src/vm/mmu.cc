@@ -48,7 +48,6 @@ Mmu::flipAllCoreGens(sim::SimThread &t)
     // Generation checks are made against TLB-resident PTE copies; the
     // flip takes effect immediately on all cores (they are already
     // synchronised: this happens inside the STW window).
-    invalidatePteCache();
     t.accrueNoYield(cm_.pte_update);
 }
 
@@ -56,9 +55,6 @@ void
 Mmu::shootdownPage(sim::SimThread &t, Addr va)
 {
     const Addr page = pageBase(va);
-    // Shootdowns follow in-place PTE rewrites (self-heals, trap-bit
-    // arming): the one-entry cache may hold the page being rewritten.
-    invalidatePteCache();
     ++stats_.tlb_shootdowns;
     if (tracer_ != nullptr)
         tracer_->record(t.id(), t.core(), t.now(),
@@ -126,7 +122,6 @@ Mmu::shootdownPage(sim::SimThread &t, Addr va)
 void
 Mmu::purgeFreedFrames()
 {
-    invalidatePteCache();
     for (Addr pfn : as_.takeFreedFrames())
         ms_.invalidateFrame(pfn);
 }
@@ -154,33 +149,21 @@ Mmu::translate(sim::SimThread &t, Addr va, bool is_store,
 
         // TLB miss (or cached entry is insufficient): walk.
         t.accrue(cm_.tlb_fill);
-        const FaultKind fk = as_.classify(va, is_store, is_cap_store);
-        switch (fk) {
-          case FaultKind::kNone:
-            break;
-          case FaultKind::kDemandZero: {
+        const AddressSpace::Walk w = as_.walk(va, is_store, is_cap_store);
+        Pte *p = w.pte;
+        if (w.fault == FaultKind::kDemandZero) {
             t.accrue(cm_.trap + cm_.page_fault_service);
-            Pte &p = as_.makeResident(va);
+            p = &as_.makeResident(va);
             // New mappings adopt the current load generation so a
             // fresh page never traps spuriously (§4.1: pages kept up
             // to date).
-            p.clg = gen_;
+            p->clg = gen_;
             ++stats_.demand_faults;
-            break;
-          }
-          case FaultKind::kNotMapped:
-          case FaultKind::kGuard:
+        } else if (w.fault != FaultKind::kNone) {
             t.accrue(cm_.trap);
-            throw MemoryFault(fk, va);
-          case FaultKind::kWriteProtect:
-          case FaultKind::kCapStore:
-            t.accrue(cm_.trap);
-            throw MemoryFault(fk, va);
-          case FaultKind::kLoadBarrier:
-            panic("classify() does not raise load-barrier faults");
+            throw MemoryFault(w.fault, va);
         }
 
-        Pte *p = as_.findPte(va);
         CREV_ASSERT(p != nullptr && p->valid);
         tlbs_[core].insert(vpn, *p);
         // Loop: the next iteration hits in the TLB and re-checks.
@@ -301,35 +284,17 @@ Mmu::storeCap(sim::SimThread &t, Addr va, const cap::Capability &c)
             // Hardware-managed dirty bit update (§4.2).
             p->cap_dirty = true;
             p->cap_ever = true;
-            as_.noteCapStore(pageBase(va));
-            invalidatePteCache();
             t.accrue(cm_.pte_update);
             tlbs_[t.core()].insert(pageOf(va), *p);
         }
     }
 }
 
-Pte *
-Mmu::findPteCached(Addr va)
-{
-    const Addr vpn = pageOf(va);
-    if (cached_pte_ != nullptr && cached_vpn_ == vpn &&
-        cached_pt_epoch_ == as_.pageTableEpoch())
-        return cached_pte_;
-    Pte *p = as_.findPte(va);
-    if (p != nullptr) {
-        cached_vpn_ = vpn;
-        cached_pte_ = p;
-        cached_pt_epoch_ = as_.pageTableEpoch();
-    }
-    return p;
-}
-
 cap::Capability
 Mmu::kernelLoadCap(sim::SimThread &t, Addr va)
 {
     CREV_ASSERT(va % kGranuleSize == 0);
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     CREV_ASSERT(p != nullptr && p->valid);
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
     chargeAccess(t, t.core(), paddr, kGranuleSize, false);
@@ -341,7 +306,7 @@ Mmu::kernelLoadCap(sim::SimThread &t, Addr va)
 void
 Mmu::kernelClearTag(sim::SimThread &t, Addr va)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     CREV_ASSERT(p != nullptr && p->valid);
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
     chargeAccess(t, t.core(), paddr, 1, true);
@@ -351,7 +316,7 @@ Mmu::kernelClearTag(sim::SimThread &t, Addr va)
 bool
 Mmu::peekTag(Addr va)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     if (p == nullptr || !p->valid)
         return false;
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
@@ -361,7 +326,7 @@ Mmu::peekTag(Addr va)
 unsigned
 Mmu::peekLineTagNibble(Addr va)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     if (p == nullptr || !p->valid)
         return 0;
     return pm_.lineTagNibble((p->pfn << kPageBits) | pageOffset(va));
@@ -370,7 +335,7 @@ Mmu::peekLineTagNibble(Addr va)
 bool
 Mmu::pageHasTags(Addr va)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     if (p == nullptr || !p->valid)
         return false;
     return pm_.frameHasTags(p->pfn);
@@ -379,7 +344,7 @@ Mmu::pageHasTags(Addr va)
 void
 Mmu::chargeRead(sim::SimThread &t, Addr va, std::size_t len)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     CREV_ASSERT(p != nullptr && p->valid);
     chargeAccess(t, t.core(), (p->pfn << kPageBits) | pageOffset(va),
                  len, false);
@@ -388,7 +353,7 @@ Mmu::chargeRead(sim::SimThread &t, Addr va, std::size_t len)
 void
 Mmu::chargeWrite(sim::SimThread &t, Addr va, std::size_t len)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     CREV_ASSERT(p != nullptr && p->valid);
     chargeAccess(t, t.core(), (p->pfn << kPageBits) | pageOffset(va),
                  len, true);
@@ -397,7 +362,7 @@ Mmu::chargeWrite(sim::SimThread &t, Addr va, std::size_t len)
 bool
 Mmu::peekByte(Addr va, std::uint8_t *out)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     if (p == nullptr || !p->valid)
         return false;
     pm_.read((p->pfn << kPageBits) | pageOffset(va), out, 1);

@@ -144,16 +144,6 @@ class Mmu
     bool tryKernelShadowLoad(sim::SimThread &t, Addr va,
                              std::uint8_t *out);
 
-    /**
-     * Drop the one-entry PTE cache. The cache is keyed by the address
-     * space's page-table epoch, which only release() bumps — in-place
-     * PTE mutations (CLG flips at epoch open, load-fault self-heals,
-     * cap-dirty updates, shootdowns) change PTE *contents* without
-     * changing the epoch, so every such site must invalidate
-     * explicitly rather than rely on the epoch key.
-     */
-    void invalidatePteCache() { cached_pte_ = nullptr; }
-
     /** Attach an event tracer (null = off); shootdowns become
      *  kTlbShootdown instants. */
     void setTracer(trace::Tracer *t) { tracer_ = t; }
@@ -224,15 +214,6 @@ class Mmu
     template <typename Fn>
     void forSegments(Addr va, std::size_t len, Fn fn);
 
-    /**
-     * findPte through a one-entry cache (kernel sweep paths touch the
-     * same page hundreds of times in a row). Only non-null results are
-     * cached — a null result would go stale the moment makeResident()
-     * inserts the PTE — and the cache revalidates against the address
-     * space's page-table epoch since release() erases entries.
-     */
-    Pte *findPteCached(Addr va);
-
     /** Charge one memory access, applying any injected penalty. */
     void
     chargeAccess(sim::SimThread &t, unsigned core, Addr paddr,
@@ -258,10 +239,6 @@ class Mmu
     sim::FaultInjector *injector_ = nullptr;
     revoker::RecoveryManager *recovery_ = nullptr;
     check::SafetyOracle *oracle_ = nullptr;
-
-    Addr cached_vpn_ = 0;
-    Pte *cached_pte_ = nullptr;
-    std::uint64_t cached_pt_epoch_ = 0;
 
     trace::Tracer *tracer_ = nullptr;
 };

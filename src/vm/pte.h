@@ -46,7 +46,6 @@ enum class FaultKind {
     kDemandZero,    //!< first touch of an anonymous page
     kWriteProtect,  //!< store to a read-only page
     kCapStore,      //!< tagged store to a page without cap_store
-    kLoadBarrier,   //!< tagged capability load, stale generation
 };
 
 } // namespace crev::vm

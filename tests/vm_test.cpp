@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <vector>
 
+#include "base/rng.h"
 #include "cap/compression.h"
 #include "kern/kernel.h"
 #include "mem/memory_system.h"
@@ -73,17 +75,6 @@ TEST(AddressSpace, ReservePadsToRepresentability)
     }
 }
 
-TEST(AddressSpace, DemandZeroThenResident)
-{
-    mem::PhysMem pm;
-    AddressSpace as(pm);
-    const Addr base = as.reserve(kPageSize * 4);
-    EXPECT_EQ(as.classify(base, false, false), FaultKind::kDemandZero);
-    as.makeResident(base);
-    EXPECT_EQ(as.classify(base, false, false), FaultKind::kNone);
-    EXPECT_EQ(as.residentPages(), 1u);
-}
-
 TEST(AddressSpace, UnmapCreatesGuardsAndQuarantinesReservation)
 {
     VmHarness h;
@@ -112,15 +103,155 @@ TEST(AddressSpace, UnmapCreatesGuardsAndQuarantinesReservation)
     });
 }
 
-TEST(AddressSpace, ShadowRegionIsImplicit)
+/**
+ * A seeded random sequence of reserve, touch, partial and full unmap,
+ * and release, checked after every step against a std::map model:
+ * classify(), findPte() nullness, residentPages() and the exact
+ * forEachResidentPage visit order.
+ */
+TEST(AddressSpace, PageTableMatchesMapModel)
 {
-    mem::PhysMem pm;
-    AddressSpace as(pm);
-    const Addr shadow = shadowByteFor(kHeapBase);
-    EXPECT_EQ(as.classify(shadow, true, false),
-              FaultKind::kDemandZero);
-    Pte &p = as.makeResident(shadow);
-    EXPECT_FALSE(p.cap_store); // bitmap pages never hold capabilities
+    enum class Pg { kMapped, kResident, kGuard, kReleased };
+    std::map<Addr, Pg> model; // page base VA -> state
+    VmHarness h;
+    h.onThread([&](sim::SimThread &t) {
+        AddressSpace &as = h.as;
+        Rng rng(0x9a6e7ab1e);
+        const auto any = [&](Addr lo, Addr hi) {
+            return lo + rng.below(hi - lo);
+        };
+        const auto check = [&](Addr va) {
+            auto it = model.find(pageBase(va));
+            const FaultKind want =
+                it == model.end() ? (va >= kShadowBase
+                                         ? FaultKind::kDemandZero
+                                         : FaultKind::kNotMapped)
+                : it->second == Pg::kMapped   ? FaultKind::kDemandZero
+                : it->second == Pg::kResident ? FaultKind::kNone
+                                              : FaultKind::kGuard;
+            EXPECT_EQ(as.classify(va, false, false), want) << va;
+            EXPECT_EQ(as.findPte(va) != nullptr,
+                      it != model.end() && it->second != Pg::kReleased)
+                << va;
+        };
+        std::vector<Reservation *> live; // still kActive
+        for (int step = 0; step <= 1600 && !HasFailure(); ++step) {
+            const double op = rng.uniform();
+            if (op < 0.15 || live.empty()) {
+                // Odd lengths exercise representability padding.
+                const Addr base = as.reserve(
+                    rng.range(1, 48) * kPageSize - rng.below(kPageSize));
+                live.push_back(as.reservationFor(base));
+                for (Addr va = base; va < base + live.back()->length;
+                     va += kPageSize)
+                    model[va] = va < base + live.back()->requested
+                                    ? Pg::kMapped
+                                    : Pg::kGuard;
+            } else if (op < 0.55) {
+                const Reservation *r = live[rng.below(live.size())];
+                const Addr va = rng.chance(0.2)
+                                    ? shadowByteFor(any(0, kHeapCeiling))
+                                    : any(r->base, r->base + r->length);
+                if (as.classify(va, false, false) ==
+                    FaultKind::kDemandZero) {
+                    as.makeResident(va);
+                    model[pageBase(va)] = Pg::kResident;
+                }
+            } else if (op < 0.85) {
+                const std::size_t k = rng.below(live.size());
+                Reservation *r = live[k];
+                const Addr pages = r->requested / kPageSize;
+                const bool full = rng.chance(0.2);
+                const Addr first = full ? 0 : rng.below(pages);
+                const Addr count =
+                    full ? pages : rng.range(1, pages - first);
+                as.unmap(t, r->base + first * kPageSize,
+                         count * kPageSize);
+                for (Addr p = first; p < first + count; ++p)
+                    model[r->base + p * kPageSize] = Pg::kGuard;
+                if (r->state == ReservationState::kQuarantined)
+                    live.erase(live.begin() +
+                               static_cast<std::ptrdiff_t>(k));
+            } else {
+                for (Reservation *r : as.takeNewlyQuarantined(t)) {
+                    as.release(t, r);
+                    for (Addr va = r->base; va < r->base + r->length;
+                         va += kPageSize)
+                        model[va] = Pg::kReleased;
+                }
+            }
+            std::vector<Addr> want;
+            for (const auto &[va, pg] : model) {
+                if (step % 8 == 0) { // every page and its neighbour
+                    check(va);
+                    check(va + kPageSize);
+                }
+                if (pg == Pg::kResident)
+                    want.push_back(va);
+            }
+            check(any(kHeapBase, kHeapCeiling));
+            check(shadowByteFor(any(0, kHeapCeiling)));
+            std::vector<Addr> got;
+            as.forEachResidentPage(
+                [&](Addr va, Pte &p) { got.push_back(p.valid ? va : 0); });
+            ASSERT_EQ(got, want) << "step " << step;
+            ASSERT_EQ(as.residentPages(), want.size());
+        }
+    });
+}
+
+TEST(AddressSpace, PageTableWindowEdges)
+{
+    VmHarness h;
+    h.onThread([&](sim::SimThread &t) {
+        AddressSpace &as = h.as;
+        // Outside and between the heap and shadow windows.
+        for (Addr va : {Addr{0}, kHeapBase - 1, kHeapCeiling,
+                        kShadowBase - 1,
+                        shadowByteFor(kHeapCeiling) + kPageSize}) {
+            EXPECT_EQ(as.classify(va, false, false),
+                      FaultKind::kNotMapped);
+            EXPECT_EQ(as.findPte(va), nullptr);
+        }
+        // A released page is a guard page with no PTE.
+        const Addr freed = as.reserve(kPageSize);
+        as.makeResident(freed);
+        as.unmap(t, freed, kPageSize);
+        as.release(t, as.takeNewlyQuarantined(t).at(0));
+        EXPECT_EQ(as.classify(freed, false, false), FaultKind::kGuard);
+        EXPECT_EQ(as.findPte(freed), nullptr);
+
+        // The last heap page (reserve until the window is full) and
+        // the last shadow page.
+        for (Addr len = (kHeapCeiling - kHeapBase) / 2; len >= kPageSize;
+             len /= 2)
+            while (as.canReserve(len))
+                as.reserve(len);
+        const Addr last_heap = kHeapCeiling - kPageSize;
+        const Addr last_shadow = pageBase(shadowByteFor(kHeapCeiling - 1));
+        ASSERT_EQ(as.classify(last_heap, false, false),
+                  FaultKind::kDemandZero);
+        EXPECT_EQ(as.classify(last_shadow, true, false),
+                  FaultKind::kDemandZero);
+        EXPECT_EQ(as.findPte(last_shadow), nullptr);
+        // Shadow (revocation bitmap) pages never hold capabilities.
+        EXPECT_FALSE(as.makeResident(last_shadow).cap_store);
+        // The walk also visits a page made resident above its cursor
+        // (as the emergency sweep does to shadow pages), not below.
+        std::vector<Addr> order;
+        as.forEachResidentPage([&](Addr va, Pte &) {
+            order.push_back(va);
+            if (va == last_shadow) {
+                as.makeResident(last_heap);
+                as.makeResident(last_shadow - kPageSize);
+                as.makeResident(last_shadow + kPageSize);
+            }
+        });
+        EXPECT_EQ(order, (std::vector<Addr>{last_shadow,
+                                            last_shadow + kPageSize}));
+        EXPECT_EQ(as.residentPages(), 4u);
+        EXPECT_EQ(as.classify(last_heap, false, false), FaultKind::kNone);
+    });
 }
 
 TEST(Tlb, InsertLookupInvalidate)
@@ -385,14 +516,13 @@ TEST(Mmu, KernelPathsBypassBarrierAndDirtyTracking)
 }
 
 /**
- * Regression for the one-entry PTE pointer cache (PR 2): in-place PTE
- * mutations — the epoch-open CLG flip, load-fault self-heals behind
- * shootdownPage, the cap-dirty bit — do not bump the page-table
- * epoch that keys the cache, so each such site must invalidate it
- * explicitly. A stale cached walk here would let a load slip past
- * the barrier untrapped.
+ * In-place PTE mutations — the epoch-open CLG flip and the load-fault
+ * self-heal behind shootdownPage — must be visible to the very next
+ * load: after a flip it traps, after the heal it does not, and a
+ * second flip re-arms the barrier. A stale translation here would let
+ * a load slip past the barrier untrapped.
  */
-TEST(Mmu, PteCacheInvalidatedAcrossEpochFlip)
+TEST(Mmu, LoadBarrierRearmsAcrossEpochFlips)
 {
     VmHarness h;
     int faults = 0;
@@ -408,13 +538,12 @@ TEST(Mmu, PteCacheInvalidatedAcrossEpochFlip)
             cap::Capability::root(base, base + 64);
         h.mmu.storeCap(t, base, c);
 
-        // Warm both the TLB and the PTE pointer cache.
+        // Warm the TLB.
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 0);
 
         // Epoch open: generations flip via in-place PTE mutation.
-        // The next load walks through whatever the cache returns and
-        // MUST still observe the stale CLG and trap.
+        // The next load MUST still observe the stale CLG and trap.
         h.mmu.flipAllCoreGens(t);
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 1);
@@ -424,7 +553,7 @@ TEST(Mmu, PteCacheInvalidatedAcrossEpochFlip)
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 1);
 
-        // A second flip re-arms through the same cached entry.
+        // A second flip re-arms the barrier on the same page.
         h.mmu.flipAllCoreGens(t);
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 2);

@@ -74,13 +74,16 @@ EPOCH_DRIVERS = frozenset(("doEpoch", "emergencyEpoch"))
 
 def mutation_re(member):
     """Mutation of @p member: assignment / compound assignment /
-    increment (optionally through an index chain, so summary words
-    like blocks_[b][w] ^= ... count) or a container-mutating call."""
+    increment (optionally through an index and field chain, so summary
+    words like blocks_[b][w] ^= ... and PTE slots like
+    pte_blocks_[b]->ptes[j] = ... count) or a container-mutating
+    call."""
     m = re.escape(member)
     mutators = (r"push_back|pop_back|emplace_back|emplace|insert|"
                 r"erase|clear|resize|assign|swap")
     return re.compile(
-        r"\b(?:this\s*->\s*)?" + m + r"(?:\[[^]]*\])*\s*"
+        r"\b(?:this\s*->\s*)?" + m +
+        r"(?:\[[^]]*\]|\s*(?:->|\.)\s*\w+)*\s*"
         r"(?:(?:[+\-*/%|&^]|<<|>>)?=(?!=)|\+\+|--)"
         r"|(?:\+\+|--)\s*(?:this\s*->\s*)?" + m + r"\b"
         r"|\b(?:this\s*->\s*)?" + m + r"\s*\.\s*(?:" + mutators +
@@ -90,10 +93,8 @@ def mutation_re(member):
 SHARED_STATE = [
     (mutation_re("gen_"), "gen_", "vm",
      "the MMU's load-barrier generation bit (domain: gen-flip)"),
-    (mutation_re("pages_"), "pages_", "vm",
-     "the page-table map (domains: pte-publish/pte-teardown)"),
-    (mutation_re("pt_epoch_"), "pt_epoch_", "vm",
-     "the PTE-pointer-cache epoch (domain: pte-teardown)"),
+    (mutation_re("pte_blocks_"), "pte_blocks_", "vm",
+     "the page-table store (domains: pte-publish/pte-teardown)"),
     (mutation_re("newly_quarantined_"), "newly_quarantined_", "vm",
      "the unmap->reap hand-off queue (domain: quarantine)"),
     (mutation_re("blocks_"), "blocks_", "revoker",

@@ -14,10 +14,9 @@ void
 publishWithoutInvalidation(Pte &p, unsigned gen)
 {
     // The PR 3 bug class: an in-place CLG/trap rewrite outside
-    // SweepEngine::publishPage, with no PTE-pointer-cache
-    // invalidation or TLB shootdown paired with it. A core holding a
-    // cached translation would keep trapping (or worse, not trap) on
-    // the stale generation.
+    // SweepEngine::publishPage, with no TLB shootdown paired with it.
+    // A core holding a cached translation would keep trapping (or
+    // worse, not trap) on the stale generation.
     p.clg = gen;
     p.cap_load_trap = false;
     p.cap_dirty = false;
