@@ -210,15 +210,26 @@ main(int argc, char **argv)
         }
         return static_cast<unsigned>(v);
     };
+    // Anything unknown or a missing value is rejected before any cell
+    // runs, so a mistyped flag cannot append a full-size run.
     for (int i = 1; i < argc; ++i) {
+        const bool has_value = i + 1 < argc;
         if (std::strcmp(argv[i], "--quick") == 0)
             quick = true;
-        else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
+        else if (std::strcmp(argv[i], "--out") == 0 && has_value)
             out_path = argv[++i];
-        else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc)
+        else if (std::strcmp(argv[i], "--label") == 0 && has_value)
             label = argv[++i];
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
+        else if (std::strcmp(argv[i], "--threads") == 0 && has_value)
             threads_flag = parseCount(argv[++i]);
+        else {
+            std::fprintf(stderr,
+                         "bench_all: bad argument '%s'\n"
+                         "usage: bench_all [--quick] [--out FILE] "
+                         "[--label NAME] [--threads N]\n",
+                         argv[i]);
+            return 2;
+        }
     }
 
     benchutil::banner("Host-performance trajectory (bench_all)",

@@ -191,14 +191,23 @@ main(int argc, char **argv)
     const char *trace_out = nullptr;
     const char *check_out = nullptr;
     bool check_only = false;
+    // Anything unknown or a missing value is rejected before any run.
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc)
+        const bool has_value = i + 1 < argc;
+        if (std::strcmp(argv[i], "--trace-out") == 0 && has_value)
             trace_out = argv[++i];
-        else if (std::strcmp(argv[i], "--check-out") == 0 &&
-                 i + 1 < argc)
+        else if (std::strcmp(argv[i], "--check-out") == 0 && has_value)
             check_out = argv[++i];
         else if (std::strcmp(argv[i], "--trace-check-only") == 0)
             check_only = true;
+        else {
+            std::fprintf(stderr,
+                         "fig9_phase_times: bad argument '%s'\n"
+                         "usage: fig9_phase_times [--trace-out FILE] "
+                         "[--check-out FILE] [--trace-check-only]\n",
+                         argv[i]);
+            return 2;
+        }
     }
 
     std::fprintf(stderr,

@@ -139,9 +139,7 @@ SimThread::sleepUntil(Cycles t)
 void
 SimThread::fiberMain()
 {
-    // Entered on the first grant; status_ is already kRunning and the
-    // scheduler mutex is not held (the granting context released it
-    // before switching stacks).
+    // Entered on the first grant; status_ is already kRunning.
     sched_.finishSwitch(fiber_);
     try {
         body_(*this);
@@ -150,15 +148,12 @@ SimThread::fiberMain()
         // thread dies (as a signal would kill it); the machine runs on.
         warn("thread %s terminated by: %s", name_.c_str(), e.what());
     }
-    {
-        std::unique_lock<std::mutex> lk(sched_.mtx_);
-        status_ = ThreadStatus::kDone;
-        if (sched_.tracer_ != nullptr)
-            sched_.tracer_->record(id_, core_, clock_,
-                                   trace::EventType::kThreadPark);
-        sched_.core_free_at_[core_] = clock_;
-        sched_.current_ = nullptr;
-    }
+    status_ = ThreadStatus::kDone;
+    if (sched_.tracer_ != nullptr)
+        sched_.tracer_->record(id_, core_, clock_,
+                               trace::EventType::kThreadPark);
+    sched_.core_free_at_[core_] = clock_;
+    sched_.current_ = nullptr;
     // Return control to the run() driver, which picks the successor.
     sched_.switchContext(fiber_, sched_.driver_, /*from_exits=*/true);
     panic("finished fiber resumed");
@@ -180,7 +175,6 @@ SimThread *
 Scheduler::spawn(std::string name, std::uint32_t core_mask,
                  std::function<void(SimThread &)> body, bool daemon)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     CREV_ASSERT((core_mask & ((1u << num_cores_) - 1)) == core_mask);
     const auto id = static_cast<unsigned>(threads_.size());
     threads_.emplace_back(new SimThread(*this, id, std::move(name),
@@ -233,18 +227,14 @@ Scheduler::setQuantumScale(SimThread &t, double scale)
 }
 
 bool
-Scheduler::stwOwnedBy(const SimThread &t)
+Scheduler::stwOwnedBy(const SimThread &t) const
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     return stw_active_ && stw_owner_ == &t;
 }
 
 std::vector<unsigned>
-Scheduler::stalledThreads(Cycles now, Cycles horizon)
+Scheduler::stalledThreads(Cycles now, Cycles horizon) const
 {
-    std::unique_lock<std::mutex> lk(mtx_);
-    if (checker_ != nullptr)
-        checker_->onSchedStateRead("stalledThreads", true);
     std::vector<unsigned> out;
     for (const auto &tp : threads_) {
         if (tp->status_ == ThreadStatus::kDone)
@@ -258,23 +248,14 @@ Scheduler::stalledThreads(Cycles now, Cycles horizon)
 }
 
 bool
-Scheduler::finished(SimThread const &t)
+Scheduler::finished(const SimThread &t) const
 {
-    std::unique_lock<std::mutex> lk(mtx_);
-    if (checker_ != nullptr)
-        checker_->onSchedStateRead("finished", true);
     return t.status_ == ThreadStatus::kDone;
 }
 
 Cycles
 Scheduler::maxClock() const
 {
-    // Thread clocks are written by the token holder; an off-token
-    // reader (metrics collection, the watchdog) must hold mtx_ so the
-    // hand-off orders the reads (sched-unlocked-read).
-    std::unique_lock<std::mutex> lk(mtx_);
-    if (checker_ != nullptr)
-        checker_->onSchedStateRead("maxClock", true);
     Cycles m = 0;
     for (const auto &t : threads_)
         m = std::max(m, t->clock_);
@@ -284,8 +265,8 @@ Scheduler::maxClock() const
 SimThread *
 Scheduler::chooseNext()
 {
-    // Requires mtx_ held. Pick the schedulable thread with the smallest
-    // effective start time; promote sleepers whose wake time arrived.
+    // Pick the schedulable thread with the smallest effective start
+    // time; promote sleepers whose wake time arrived.
     SimThread *best = nullptr;
     Cycles best_est = kInfinity;
     unsigned best_core = 0;
@@ -358,9 +339,9 @@ Scheduler::chooseNext()
 void
 Scheduler::updateYieldHorizon(SimThread &running)
 {
-    // Requires mtx_ held. The horizon is the earlier of the preemption
-    // quantum and the point where another schedulable thread would fall
-    // more than yield_slack behind us.
+    // The horizon is the earlier of the preemption quantum and the
+    // point where another schedulable thread would fall more than
+    // yield_slack behind us.
     Cycles horizon =
         running.clock_ +
         static_cast<Cycles>(static_cast<double>(cm_.quantum) *
@@ -387,7 +368,6 @@ Scheduler::updateYieldHorizon(SimThread &running)
 void
 Scheduler::grant(SimThread *t)
 {
-    // Requires mtx_ held.
     const unsigned c = t->core_;
     t->clock_ = std::max(t->clock_, core_free_at_[c]);
     if (core_last_thread_[c] != t && core_last_thread_[c] != nullptr) {
@@ -406,7 +386,6 @@ Scheduler::grant(SimThread *t)
 void
 Scheduler::handoff(SimThread &self, ThreadStatus new_status)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     self.status_ = new_status;
     ++self.heartbeats_;
     self.last_beat_at_ = self.clock_;
@@ -436,7 +415,6 @@ Scheduler::handoff(SimThread &self, ThreadStatus new_status)
     } else {
         current_ = nullptr;
     }
-    lk.unlock();
     switchContext(self.fiber_, *to);
 }
 
@@ -449,7 +427,7 @@ Scheduler::block(SimThread &self)
 void
 Scheduler::applyWake(SimThread &t, Cycles at)
 {
-    // Requires mtx_ held; t is kBlocked.
+    // t is kBlocked.
     if (checker_ != nullptr && current_ != nullptr)
         checker_->onWake(current_->id_, t.id_);
     t.status_ = ThreadStatus::kReady;
@@ -463,7 +441,6 @@ Scheduler::applyWake(SimThread &t, Cycles at)
 void
 Scheduler::wake(SimThread &t, Cycles at)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     if (t.status_ == ThreadStatus::kBlocked)
         applyWake(t, at);
 }
@@ -471,7 +448,6 @@ Scheduler::wake(SimThread &t, Cycles at)
 void
 Scheduler::wakeMany(SimThread *const *ts, std::size_t n, Cycles at)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     for (std::size_t i = 0; i < n; ++i)
         if (ts[i]->status_ == ThreadStatus::kBlocked)
             applyWake(*ts[i], at);
@@ -520,7 +496,6 @@ Scheduler::stopTheWorld(SimThread &self)
     // are accurate.
     self.yieldNow();
 
-    std::unique_lock<std::mutex> lk(mtx_);
     CREV_ASSERT(!stw_active_);
     stw_active_ = true;
     stw_owner_ = &self;
@@ -545,7 +520,6 @@ Scheduler::stopTheWorld(SimThread &self)
 void
 Scheduler::resumeWorld(SimThread &self)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     CREV_ASSERT(stw_active_ && stw_owner_ == &self);
     const Cycles end = self.clock_;
     last_stw_end_ = end;
@@ -565,7 +539,6 @@ Scheduler::resumeWorld(SimThread &self)
 void
 Scheduler::run()
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     CREV_ASSERT(!started_);
     started_ = true;
 #ifdef CREV_TSAN
@@ -606,9 +579,7 @@ Scheduler::run()
         // Fibers hand off among themselves without returning here;
         // control comes back (with current_ == nullptr) only when a
         // fiber finishes or none is runnable.
-        lk.unlock();
         switchContext(driver_, next->fiber_);
-        lk.lock();
     }
 }
 

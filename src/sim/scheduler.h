@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -187,7 +186,7 @@ class SimThread
     std::function<void(SimThread &)> body_;
 
     // --- state below is written only while the thread holds the
-    // token, or by the scheduler under its mutex while it is parked ---
+    // token, or by the scheduler while it is parked ---
     Cycles clock_ = 0;
     Cycles busy_ = 0;
     std::uint64_t heartbeats_ = 0;
@@ -255,7 +254,7 @@ class Scheduler
      * Whether @p t's body has returned. The epoch watchdog uses this
      * to detect sweeper threads that died mid-epoch.
      */
-    bool finished(const SimThread &t);
+    bool finished(const SimThread &t) const;
 
     /**
      * Begin a stop-the-world phase on behalf of @p self. Returns the
@@ -273,12 +272,7 @@ class Scheduler
         return threads_;
     }
 
-    /**
-     * Largest virtual clock across all threads (wall-clock metric).
-     * Takes the scheduler mutex: thread clocks belong to the token
-     * holder, so off-token readers must synchronise (the
-     * sched-unlocked-read checker rule covers regressions here).
-     */
+    /** Largest virtual clock across all threads (wall-clock metric). */
     Cycles maxClock() const;
 
     const CostModel &costs() const { return cm_; }
@@ -303,7 +297,7 @@ class Scheduler
     check::RaceChecker *checker() const { return checker_; }
 
     /** Whether @p t currently owns an active stop-the-world window. */
-    bool stwOwnedBy(const SimThread &t);
+    bool stwOwnedBy(const SimThread &t) const;
 
     /**
      * Extra cycles a thread's core freezes for at a yield point (the
@@ -320,7 +314,7 @@ class Scheduler
      * heartbeat counter stopped while virtual time moved on). The
      * watchdog samples this while an epoch is overdue.
      */
-    std::vector<unsigned> stalledThreads(Cycles now, Cycles horizon);
+    std::vector<unsigned> stalledThreads(Cycles now, Cycles horizon) const;
 
   private:
     friend class SimThread;
@@ -333,11 +327,11 @@ class Scheduler
     void handoff(SimThread &self, ThreadStatus new_status);
     /** Recompute a running thread's yield horizon hint. */
     void updateYieldHorizon(SimThread &running);
-    /** Apply one wake's clock clamp + horizon shrink (mtx_ held). */
+    /** Apply one wake's clock clamp + horizon shrink. */
     void applyWake(SimThread &t, Cycles at);
     /**
-     * Switch host stacks from @p from to @p to (mtx_ not held). Every
-     * stack switch goes through here so the sanitizers can follow it;
+     * Switch host stacks from @p from to @p to. Every stack switch
+     * goes through here so the sanitizers can follow it;
      * @p from_exits marks a finished fiber that is never resumed.
      */
     void switchContext(detail::HostContext &from, detail::HostContext &to,
@@ -356,7 +350,6 @@ class Scheduler
     check::RaceChecker *checker_ = nullptr;
     StallHook stall_hook_;
 
-    mutable std::mutex mtx_;
     std::vector<std::unique_ptr<SimThread>> threads_;
     SimThread *current_ = nullptr;
     bool started_ = false;

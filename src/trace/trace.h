@@ -21,8 +21,7 @@
  *      byte-identical JSON.
  *
  * The buffers are "lock-free in sim": the scheduler's single
- * execution token already serialises every simulated thread (grants
- * happen under the scheduler mutex while no token is outstanding), so
+ * execution token already serialises every simulated thread, so
  * record() touches plain data with no synchronisation of its own.
  * Each thread writes its own ring buffer; a full ring drops the
  * oldest events (deterministically), never blocks.

@@ -19,7 +19,7 @@ void
 Revoker::doEpoch()
 {
     advance();
-    tracePhaseBegin(kPaint); // bracket before snapshotAuditSet
+    tracePhaseBegin(kPaint); // expect: epoch-phase (before snapshot)
     snapshotAuditSet();
     tracePhaseEnd(kPaint);
     finishEpoch();

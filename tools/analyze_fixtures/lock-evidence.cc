@@ -16,7 +16,7 @@ struct Mmu
 void
 Mmu::flipGen()
 {
-    gen_ ^= 1u;
+    gen_ ^= 1u; // expect: lock-evidence
 }
 
 } // namespace lefix

@@ -45,7 +45,7 @@ void
 Inbox::splice(SimThread &t)
 {
     NoYield guard(t);
-    takeLocked(t); // reaches SimMutex::lock inside the window
+    takeLocked(t); // expect: noyield-reach (SimMutex::lock)
 }
 
 } // namespace nyfix

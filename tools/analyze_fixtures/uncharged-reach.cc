@@ -20,7 +20,7 @@ struct Walker
 void
 Walker::scan(Mmu &mmu, unsigned long long va)
 {
-    if (mmu.peekTag(va))
+    if (mmu.peekTag(va)) // expect: uncharged-reach
         ++tags_seen;
 }
 

@@ -1,6 +1,7 @@
 // Analyze fixture: every violation below is waived with an
 // `analyze: <rule>-ok` annotation, so the file must be CLEAN under
-// `crev_analyze --self-test` with at least one waiver used per pass.
+// `crev_analyze --self-test` with at least one waiver used per pass
+// and no waiver reported stale.
 // Not compiled -- input for the self-test only.
 
 namespace wvfix {
@@ -77,5 +78,32 @@ Revoker::doEpoch() // analyze: epoch-phase-ok (fixture: partial driver)
     snapshotAuditSet();
     finishEpoch();
 }
+
+// The token passes: a waiver on the finding's line or the line above.
+struct HostSide
+{
+    // analyze: raw-threading-ok (fixture: host-side aggregation)
+    std::mutex results_lock_;
+    std::unordered_set<unsigned> seen_;
+    unsigned clg = 0;
+
+    long
+    stamp()
+    {
+        long n = 0;
+        // analyze: unordered-iteration-ok (fixture: order-free sum)
+        for (unsigned s : seen_)
+            n += s;
+        // analyze: host-nondeterminism-ok (fixture: log banner only)
+        auto wall = std::chrono::steady_clock::now();
+        return n + wall.time_since_epoch().count();
+    }
+
+    void
+    reset(HostSide &o)
+    {
+        o.clg = 0; // analyze: pte-publish-ok (fixture: not a Pte)
+    }
+};
 
 } // namespace wvfix

@@ -7,7 +7,7 @@ Checks the deterministic report emitted by `crev_analyze --report`
   - top level is an object with exactly the keys tool / version /
     rules / findings / waivers_used / stats;
   - "tool" is "crev_analyze" and "version" a non-empty string;
-  - "rules" is the four analysis passes, in pass order;
+  - "rules" is the eight passes and the waiver audit, in pass order;
   - every finding carries string rule/function/file/message, a
     positive integer line, a non-empty callpath of strings, a rule
     drawn from "rules", and a forward-slash relative file path;
@@ -28,7 +28,9 @@ import json
 import sys
 
 EXPECTED_RULES = ["noyield-reach", "lock-evidence", "uncharged-reach",
-                  "epoch-phase"]
+                  "epoch-phase", "host-nondeterminism",
+                  "unordered-iteration", "raw-threading", "pte-publish",
+                  "stale-waiver"]
 TOP_KEYS = {"tool", "version", "rules", "findings", "waivers_used",
             "stats"}
 STAT_KEYS = {"files", "functions", "edges", "roots",

@@ -1,10 +1,12 @@
-"""crev_analyze: interprocedural call-graph analysis for the
-Cornucopia Reloaded simulator (DESIGN.md section 16).
+"""crev_analyze: the static analyzer of the Cornucopia Reloaded
+simulator (DESIGN.md section 16).
 
-Where crev_lint checks lines, crev_analyze checks paths: it builds a
-repo-wide call graph from a token-level C++ front end and runs four
-reachability passes over it (no-yield reachability, lock-evidence
-propagation, uncharged-access reachability, epoch-phase ordering).
+It builds a repo-wide call graph from a token-level C++ front end and
+runs four reachability passes over it (no-yield reachability,
+lock-evidence propagation, uncharged-access reachability, epoch-phase
+ordering), four token passes over src/ and bench/ (host
+nondeterminism, unordered iteration, raw threading, PTE publish), and
+an audit of the waivers.
 """
 
-VERSION = "1.0"
+VERSION = "2.0"

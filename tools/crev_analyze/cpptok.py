@@ -15,7 +15,7 @@ from collections import namedtuple
 #: kind is one of "id", "num", "str", "chr", "punct".
 Token = namedtuple("Token", ["kind", "text", "line"])
 
-#: Waiver annotation, mirroring crev_lint's `lint: <rule>-ok` syntax.
+#: Waiver annotation: `analyze: <rule>-ok`.
 ANNOT = re.compile(r"analyze:\s*([a-z][a-z0-9-]*)-ok")
 
 _TOKEN = re.compile(

@@ -1,5 +1,5 @@
-"""Driver: file discovery, graph assembly, pass execution, report
-emission, and the self-test.
+"""Driver: file discovery, graph assembly, pass execution, the
+waiver audit, report emission, and the self-test.
 
 Usage:
   python3 tools/crev_analyze [--compile-commands build/compile_commands.json]
@@ -13,6 +13,7 @@ usage/environment error.
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import VERSION
@@ -20,7 +21,7 @@ from .cpptok import tokenize
 from .extract import extract_file
 from .callgraph import Graph, body_sites
 from .facts import make_facts, is_observer_file, is_vm_file
-from .passes import ALL_PASSES, RULES
+from .passes import ALL_PASSES, RULES, audit_waivers
 from .report import build_report, render_report, write_report
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -35,13 +36,16 @@ COMPILE_COMMANDS_HINT = (
 
 
 class Context:
-    """Everything the passes need: merged nodes, the graph, waivers."""
+    """Everything the passes need: merged nodes, the graph, each
+    file's tokens and function spans, waivers."""
 
     def __init__(self, repo_root, fixture_dir):
         self.repo_root = repo_root
         self.fixture_dir = fixture_dir
         self.nodes = {}
         self.graph = Graph()
+        self.tokens = {}
+        self.funcs = {}
         self.annotations = {}
         self.waivers_used = set()
         self.stats = {}
@@ -52,6 +56,26 @@ class Context:
         else:
             rel = os.path.basename(path)
         return rel.replace(os.sep, "/")
+
+    def area(self, path):
+        """"vm", "src" or "bench" for a tree file; fixtures stand in
+        for ordinary src/ files."""
+        if path.startswith(self.fixture_dir + os.sep):
+            return "src"
+        rel = self.relpath(path)
+        if rel.startswith("src/vm/"):
+            return "vm"
+        return rel.split("/", 1)[0]
+
+    def function_at(self, path, line):
+        """Innermost function whose definition spans @p line."""
+        best = None
+        for fn in self.funcs.get(path, ()):
+            end = self.tokens[path][fn.body_end].line
+            if fn.line <= line <= end and (best is None
+                                           or fn.line >= best.line):
+                best = fn
+        return best.qname if best is not None else "<file scope>"
 
     def _waived_at(self, rule, path, line):
         ann = self.annotations.get(path, {})
@@ -84,11 +108,11 @@ def _empty_facts():
 
 
 def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
-    """Build the call graph over @p paths and run all passes.
-    Returns (ctx, findings)."""
+    """Run the token passes over @p paths, build the call graph over
+    those outside bench/ and run the graph passes, then audit the
+    waivers. Returns (ctx, findings)."""
     ctx = Context(repo_root, fixture_dir)
     classes = {"NoYield"}
-    tokens_by_path = {}
     lines_by_path = {}
     per_file_funcs = []
     for p in sorted(paths):
@@ -96,9 +120,12 @@ def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
             text = f.read()
         toks, ann = tokenize(text)
         funcs, cls = extract_file(toks, p)
-        classes |= cls
         ctx.annotations[p] = ann
-        tokens_by_path[p] = toks
+        ctx.tokens[p] = toks
+        ctx.funcs[p] = funcs
+        if ctx.area(p) == "bench":
+            continue  # token passes only
+        classes |= cls
         lines_by_path[p] = text.split("\n")
         per_file_funcs.append((p, funcs))
 
@@ -106,8 +133,8 @@ def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
     # collapse; facts union — the documented over-approximation).
     for p, funcs in per_file_funcs:
         for fn in funcs:
-            sites, windows = body_sites(tokens_by_path[p], fn, classes)
-            facts = make_facts(fn, tokens_by_path[p], sites, windows,
+            sites, windows = body_sites(ctx.tokens[p], fn, classes)
+            facts = make_facts(fn, ctx.tokens[p], sites, windows,
                                lines_by_path[p], repo_root, fixture_dir)
             node = ctx.nodes.get(fn.qname)
             if node is None:
@@ -138,6 +165,7 @@ def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
     findings = []
     for _rule, fn_pass in ALL_PASSES:
         findings.extend(fn_pass(ctx))
+    findings.extend(audit_waivers(ctx, findings))
 
     ctx.stats = {
         "files": len(paths),
@@ -151,23 +179,28 @@ def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
 
 
 def tree_files():
-    """Analysis covers src/ only: bench/ and tests/ are excluded so
-    that public entry points surface as call-graph roots rather than
-    importing every unit test as a spurious mutation path."""
+    """The token passes scan src/ and bench/; the call graph covers
+    src/ only, so that public entry points surface as call-graph
+    roots rather than importing every bench driver as a spurious
+    mutation path. tests/ is not scanned."""
     paths = []
-    for root, _dirs, files in os.walk(os.path.join(REPO_ROOT, "src")):
-        for f in sorted(files):
-            if f.endswith((".h", ".cc", ".cpp")):
-                paths.append(os.path.join(root, f))
+    for top in ("src", "bench"):
+        for root, _dirs, files in os.walk(os.path.join(REPO_ROOT, top)):
+            for f in sorted(files):
+                if f.endswith((".h", ".cc", ".cpp")):
+                    paths.append(os.path.join(root, f))
     return paths
 
 
 def check_compile_commands(db_path, paths):
+    """Every scanned translation unit must be in the build: a source
+    the build ignores would make a clean run meaningless."""
     with open(db_path, "r", encoding="utf-8") as f:
         db = json.load(f)
     compiled = {os.path.realpath(e["file"]) for e in db}
     return [p for p in paths
-            if p.endswith(".cc") and os.path.realpath(p) not in compiled]
+            if p.endswith((".cc", ".cpp"))
+            and os.path.realpath(p) not in compiled]
 
 
 def print_findings(findings):
@@ -203,41 +236,58 @@ CALLGRAPH_EXPECTED_EDGES = [
 CALLGRAPH_EXPECTED_UNRESOLVED = 2
 
 
-def _fixture_paths(*names):
-    return [os.path.join(FIXTURE_DIR, n) for n in names]
+#: A fixture line the self-test requires a finding on, and which rule.
+EXPECT = re.compile(r"//.*\bexpect:\s*([a-z][a-z0-9-]*)")
+
+
+def _expected(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return {(m.group(1), i)
+                for i, line in enumerate(f, 1)
+                for m in [EXPECT.search(line)] if m}
 
 
 def run_self_test():
     ok = True
 
-    # 1. Every pass fixture must fail its own pass.
+    # 1. Every rule's fixture must report exactly the (rule, line)
+    #    pairs its `expect:` markers declare: a missed line and an
+    #    extra line both fail.
     for rule in RULES:
         fixture = os.path.join(FIXTURE_DIR, rule + ".cc")
         if not os.path.exists(fixture):
             print("self-test: missing fixture for rule %s" % rule)
             ok = False
             continue
+        want = _expected(fixture)
         _ctx, findings = analyze([fixture])
-        got = {f.rule for f in findings}
-        if rule not in got:
-            print("self-test: fixture %s did NOT fail pass %s (got %s)"
-                  % (os.path.basename(fixture), rule,
-                     sorted(got) or "clean"))
+        got = {(f.rule, f.line) for f in findings}
+        if not want or got != want:
+            print("self-test: fixture %s findings differ from its "
+                  "markers" % os.path.basename(fixture))
+            for r, li in sorted(got - want):
+                print("  unexpected: %s line %d" % (r, li))
+            for r, li in sorted(want - got):
+                print("  missing:    %s line %d" % (r, li))
             ok = False
         else:
-            print("self-test: %-20s fails as required" % rule)
+            print("self-test: %-20s %d line(s) match exactly"
+                  % (rule, len(want)))
 
-    # 2. The waiver fixture trips every pass but waives every finding.
+    # 2. The waiver fixture trips every pass but waives every finding,
+    #    and every waiver in it is live.
     waiver = os.path.join(FIXTURE_DIR, "waivers.cc")
     if os.path.exists(waiver):
         ctx, findings = analyze([waiver])
+        waived = {w.rsplit(" ", 1)[1] for w in ctx.waivers_used}
+        unwaived = sorted(set(dict(ALL_PASSES)) - waived)
         if findings:
             print("self-test: waiver fixture raised:")
             print_findings(findings)
             ok = False
-        elif len(ctx.waivers_used) < len(RULES):
-            print("self-test: waiver fixture used only %d waiver(s): %s"
-                  % (len(ctx.waivers_used), sorted(ctx.waivers_used)))
+        elif unwaived:
+            print("self-test: waiver fixture waives nothing for %s"
+                  % ", ".join(unwaived))
             ok = False
         else:
             print("self-test: %-20s clean as required" % "waivers")
@@ -293,14 +343,25 @@ def run_self_test():
     else:
         print("self-test: %-20s byte-identical across runs" % "report")
 
+    # 5. An explicitly named but absent compilation database is a
+    #    usage error, not a skippable note.
+    rc = main(["--compile-commands",
+               os.path.join(FIXTURE_DIR, "no_such_db.json")])
+    if rc != 2:
+        print("self-test: missing explicit compile_commands.json "
+              "returned %d, expected 2" % rc)
+        ok = False
+    else:
+        print("self-test: %-20s exits 2 as required" % "missing-db")
+
     return ok
 
 
 def main(argv):
     ap = argparse.ArgumentParser(
         prog="crev_analyze",
-        description="interprocedural call-graph analysis "
-                    "(DESIGN.md section 16)")
+        description="the repo's static analyzer (DESIGN.md "
+                    "section 16)")
     ap.add_argument("--compile-commands", default=None,
                     help="compilation database; build-coverage check "
                          "is skipped with a note if the default is "
@@ -308,8 +369,9 @@ def main(argv):
     ap.add_argument("--report", default=None,
                     help="write the deterministic JSON report here")
     ap.add_argument("--self-test", action="store_true",
-                    help="verify fixtures fail their passes and the "
-                         "extractor matches the callgraph ground truth")
+                    help="verify each fixture reports exactly its marked "
+                         "lines and the extractor matches the callgraph "
+                         "ground truth")
     ap.add_argument("--dump-graph", action="store_true",
                     help="print the resolved edges and exit")
     args = ap.parse_args(argv)

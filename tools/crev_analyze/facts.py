@@ -1,11 +1,6 @@
-"""Per-function fact summaries: the vocabulary the four passes reason
-over. Facts are computed from a function's call sites and body lines;
-the pass logic itself lives in passes.py.
-
-The shared-state table and mutation grammar moved here from
-crev_lint.py when the line-level `shared-mutation` and
-`uncharged-access` rules were superseded by the interprocedural
-passes (DESIGN.md section 16).
+"""Per-function fact summaries: the vocabulary the four call-graph
+passes reason over. Facts are computed from a function's call sites
+and body lines; the pass logic itself lives in passes.py.
 """
 
 import os

@@ -1,10 +1,14 @@
-"""The four interprocedural passes (DESIGN.md section 16).
+"""The eight passes and the waiver audit (DESIGN.md section 16).
 
-Each pass takes the analysis context built by driver.py — the call
-graph, the per-function facts, and the waiver table — and yields
-Finding records. All iteration is over sorted keys and BFS with
-sorted adjacency, so the findings (and hence the JSON report) are
-byte-deterministic.
+Passes 1-4 are interprocedural: each takes the analysis context built
+by driver.py -- the call graph over src/, the per-function facts, and
+the waiver table -- and yields Finding records. Passes 5-8 check
+repo invariants that hold token by token, over the cpptok stream of
+every file in src/ and bench/: comments and string literals never
+reach the token stream, so text inside them cannot trip a pass, and a
+construct split across lines is still one token sequence. All
+iteration is over sorted keys and BFS with sorted adjacency, so the
+findings (and hence the JSON report) are byte-deterministic.
 """
 
 from collections import namedtuple
@@ -13,10 +17,6 @@ from . import facts as F
 
 Finding = namedtuple(
     "Finding", ["rule", "function", "file", "line", "callpath", "message"])
-
-RULES = ("noyield-reach", "lock-evidence", "uncharged-reach",
-         "epoch-phase")
-
 
 # ---------------------------------------------------------------------
 # Pass 1: no-yield reachability.
@@ -88,8 +88,7 @@ def pass_noyield_reach(ctx):
 def pass_lock_evidence(ctx):
     """A shared-state mutation is clean if every call path from a
     root (thread body, public entry point, indirect-call target)
-    passes through synchronisation evidence — the interprocedural
-    replacement for crev_lint's retired in-function heuristic."""
+    passes through synchronisation evidence."""
     findings = []
     graph = ctx.graph
 
@@ -288,9 +287,327 @@ def pass_epoch_phase(ctx):
     return findings
 
 
+# ---------------------------------------------------------------------
+# Token passes. Scopes: host-nondeterminism and unordered-iteration
+# scan src/, raw-threading src/ and bench/, pte-publish src/ outside
+# the vm layer.
+# ---------------------------------------------------------------------
+
+NONDET_NAMES = {
+    "random_device": "std::random_device",
+    "system_clock": "std::chrono wall clock",
+    "steady_clock": "std::chrono wall clock",
+    "high_resolution_clock": "std::chrono wall clock",
+}
+#: Free-function calls: name -> (label, the one argument token it
+#: must be called with; () = no argument, None = any arguments).
+NONDET_CALLS = {
+    "rand": ("rand()", ()),
+    "getpid": ("getpid()", ()),
+    "time": ("time()", ("nullptr", "NULL", "0")),
+    "srand": ("srand()", None),
+    "gettimeofday": ("gettimeofday()", None),
+    "clock_gettime": ("clock_gettime()", None),
+    "localtime": ("calendar time", None),
+    "localtime_r": ("calendar time", None),
+    "gmtime": ("calendar time", None),
+    "gmtime_r": ("calendar time", None),
+}
+
+UNORDERED_TYPES = frozenset(("unordered_set", "unordered_map",
+                             "unordered_multiset", "unordered_multimap"))
+
+THREADING_NAMES = frozenset((
+    "mutex", "recursive_mutex", "timed_mutex", "recursive_timed_mutex",
+    "shared_mutex", "shared_timed_mutex", "thread", "jthread",
+    "this_thread", "condition_variable", "condition_variable_any",
+    "atomic", "atomic_ref", "atomic_flag"))
+THREADING_ALLOWED = frozenset(("bench/bench_runner.h",
+                               "bench/bench_runner.cc"))
+
+PTE_FIELDS = frozenset(("clg", "cap_load_trap", "cap_dirty", "cap_ever"))
+PTE_ASSIGN = frozenset(("=", "|=", "&=", "^="))
+PTE_CHOKE_FILE = "src/revoker/sweep.cc"
+
+_OPEN = {"(": ")", "[": "]", "{": "}"}
+
+
+def _text(toks, k):
+    return toks[k].text if 0 <= k < len(toks) else ""
+
+
+def _match(toks, k):
+    """toks[k] opens a bracket; return the index of its match."""
+    close = _OPEN[toks[k].text]
+    depth = 0
+    for j in range(k, len(toks)):
+        t = toks[j].text
+        if t in _OPEN:
+            depth += 1
+        elif t in (")", "]", "}"):
+            depth -= 1
+            if depth == 0:
+                return j if t == close else None
+    return None
+
+
+def _files(ctx, areas):
+    for path in sorted(ctx.tokens):
+        if ctx.area(path) in areas:
+            yield path, ctx.tokens[path]
+
+
+def _finding(ctx, rule, path, line, message):
+    fn = ctx.function_at(path, line)
+    return Finding(rule=rule, function=fn, file=ctx.relpath(path),
+                   line=line, callpath=[fn], message=message)
+
+
+# ---------------------------------------------------------------------
+# Pass 5: host nondeterminism.
+# ---------------------------------------------------------------------
+
+def _is_host_call(toks, k):
+    """toks[k] names a NONDET_CALLS function: true for a call to the
+    host's free (or std::) function with the listed arguments, false
+    for a member call, another namespace's function or a declaration
+    (a type name before the function name)."""
+    prev = _text(toks, k - 1)
+    if _text(toks, k + 1) != "(" or prev in (".", "->"):
+        return False
+    if k >= 1 and toks[k - 1].kind == "id" \
+            and prev not in ("return", "throw"):
+        return False
+    if prev == "::" and k >= 2 and toks[k - 2].kind == "id" \
+            and toks[k - 2].text != "std":
+        return False
+    arg = NONDET_CALLS[toks[k].text][1]
+    if arg is None:
+        return True
+    if not arg:
+        return _text(toks, k + 2) == ")"
+    return _text(toks, k + 2) in arg and _text(toks, k + 3) == ")"
+
+
+def pass_host_nondeterminism(ctx):
+    rule = "host-nondeterminism"
+    findings = []
+    for path, toks in _files(ctx, ("src", "vm")):
+        for k, t in enumerate(toks):
+            if t.kind != "id":
+                continue
+            what = NONDET_NAMES.get(t.text)
+            if what is None and t.text in NONDET_CALLS \
+                    and _is_host_call(toks, k):
+                what = NONDET_CALLS[t.text][0]
+            if what is None or ctx.line_waived(rule, path, t.line):
+                continue
+            findings.append(_finding(
+                ctx, rule, path, t.line,
+                "%s: simulated observables must be pure functions of "
+                "(config, seed)" % what))
+    return findings
+
+
+# ---------------------------------------------------------------------
+# Pass 6: unordered iteration.
+# ---------------------------------------------------------------------
+
+def _unordered_names(ctx):
+    """Identifiers (members, locals, accessors) declared with an
+    unordered container type anywhere in the scanned files."""
+    names = set()
+    for toks in ctx.tokens.values():
+        for k, t in enumerate(toks):
+            if t.kind != "id" or t.text not in UNORDERED_TYPES:
+                continue
+            j = k + 1
+            if _text(toks, j) == "<":
+                depth = 0
+                while j < len(toks):
+                    s = toks[j].text
+                    depth += {"<": 1, ">": -1, ">>": -2}.get(s, 0)
+                    j += 1
+                    if depth <= 0:
+                        break
+            while _text(toks, j) in ("&", "&&", "*", "const", "volatile"):
+                j += 1
+            if j + 1 < len(toks) and toks[j].kind == "id" \
+                    and toks[j + 1].text in (";", "=", "{", "("):
+                names.add(toks[j].text)
+    return names
+
+
+def _range_expr(toks, k):
+    """toks[k] is `for`: the range expression's token span of a
+    range-for, or None for a classic for."""
+    if _text(toks, k + 1) != "(":
+        return None
+    end = _match(toks, k + 1)
+    if end is None:
+        return None
+    colon = None
+    semis = 0
+    j = k + 2
+    while j < end:
+        s = toks[j].text
+        if s in _OPEN:
+            j = _match(toks, j) or end
+        elif s == ";":
+            # One `;` ends a C++20 init-statement; two make a classic
+            # for, whose colons belong to `?:`.
+            semis += 1
+            colon = None
+        elif s == ":" and colon is None:
+            colon = j
+        j += 1
+    if colon is None or semis > 1:
+        return None
+    return colon + 1, end
+
+
+def pass_unordered_iteration(ctx):
+    rule = "unordered-iteration"
+    names = _unordered_names(ctx)
+    findings = []
+    for path, toks in _files(ctx, ("src", "vm")):
+        for k, t in enumerate(toks):
+            if t.text != "for" or t.kind != "id":
+                continue
+            span = _range_expr(toks, k)
+            if span is None:
+                continue
+            lo, hi = span
+            # The iterated name: the last identifier, possibly an
+            # accessor call ("bitmap.painted()", "painted_").
+            last = hi - 1
+            if last - 1 >= lo and toks[last].text == ")" \
+                    and toks[last - 1].text == "(":
+                last -= 2
+            if last < lo or toks[last].kind != "id" \
+                    or toks[last].text not in names:
+                continue
+            if ctx.line_waived(rule, path, t.line):
+                continue
+            findings.append(_finding(
+                ctx, rule, path, t.line,
+                "range-for over unordered container '%s': iteration "
+                "order is host-dependent; sort into an ordered "
+                "container first" % toks[last].text))
+    return findings
+
+
+# ---------------------------------------------------------------------
+# Pass 7: raw threading.
+# ---------------------------------------------------------------------
+
+def pass_raw_threading(ctx):
+    rule = "raw-threading"
+    findings = []
+    for path, toks in _files(ctx, ("src", "vm", "bench")):
+        if ctx.relpath(path) in THREADING_ALLOWED:
+            continue
+        for k, t in enumerate(toks):
+            if t.kind != "id":
+                continue
+            if t.text in THREADING_NAMES and _text(toks, k - 1) == "::" \
+                    and _text(toks, k - 2) == "std":
+                what = "std::" + t.text
+            elif t.text.startswith("pthread_"):
+                what = "pthreads"
+            else:
+                continue
+            if ctx.line_waived(rule, path, t.line):
+                continue
+            findings.append(_finding(
+                ctx, rule, path, t.line,
+                "%s outside the bench runner: simulated threads are "
+                "fibers on one host thread; use SimMutex/SimEvent so "
+                "blocking is a deterministic scheduling point" % what))
+    return findings
+
+
+# ---------------------------------------------------------------------
+# Pass 8: PTE publish choke point.
+# ---------------------------------------------------------------------
+
+def pass_pte_publish(ctx):
+    rule = "pte-publish"
+    findings = []
+    for path, toks in _files(ctx, ("src",)):
+        choke = ctx.relpath(path) == PTE_CHOKE_FILE
+        shoots_down = any(
+            t.text == "shootdownPage" and _text(toks, k + 1) == "("
+            for k, t in enumerate(toks))
+        for k, t in enumerate(toks):
+            if t.text not in PTE_FIELDS or t.kind != "id" \
+                    or _text(toks, k - 1) not in (".", "->") \
+                    or _text(toks, k + 1) not in PTE_ASSIGN:
+                continue
+            if choke and shoots_down:
+                continue
+            if ctx.line_waived(rule, path, t.line):
+                continue
+            if not choke:
+                msg = ("in-place write of Pte::%s outside the vm layer "
+                       "and SweepEngine::publishPage: route it through "
+                       "publishPage so a TLB shootdown is paired with "
+                       "the mutation" % t.text)
+            else:
+                msg = ("Pte::%s written in a file that never shoots "
+                       "down cached translations (shootdownPage "
+                       "missing): a core could keep the stale "
+                       "generation" % t.text)
+            findings.append(_finding(ctx, rule, path, t.line, msg))
+    return findings
+
+
+# ---------------------------------------------------------------------
+# The waiver audit.
+# ---------------------------------------------------------------------
+
+def audit_waivers(ctx, findings):
+    """A waiver must name a pass and suppress something: deleting it
+    must add a finding. Each waiver is taken out in turn and its pass
+    re-run, so a waiver made redundant by another (a line waiver
+    inside a waived function) is reported too."""
+    passes = dict(ALL_PASSES)
+    base = {tuple(f[:4]) for f in findings}
+    used = set(ctx.waivers_used)
+    out = []
+    for path in sorted(ctx.annotations):
+        ann = ctx.annotations[path]
+        for line in sorted(ann):
+            for rule in sorted(ann[line]):
+                if rule not in passes:
+                    msg = ("waiver 'analyze: %s-ok' names no pass; "
+                           "delete it" % rule)
+                else:
+                    ann[line].discard(rule)
+                    try:
+                        extra = [f for f in passes[rule](ctx)
+                                 if tuple(f[:4]) not in base]
+                    finally:
+                        ann[line].add(rule)
+                    if extra:
+                        continue
+                    msg = ("waiver 'analyze: %s-ok' suppresses no "
+                           "finding; delete it" % rule)
+                out.append(_finding(ctx, "stale-waiver", path, line, msg))
+    ctx.waivers_used = used
+    return out
+
+
 ALL_PASSES = (
     ("noyield-reach", pass_noyield_reach),
     ("lock-evidence", pass_lock_evidence),
     ("uncharged-reach", pass_uncharged_reach),
     ("epoch-phase", pass_epoch_phase),
+    ("host-nondeterminism", pass_host_nondeterminism),
+    ("unordered-iteration", pass_unordered_iteration),
+    ("raw-threading", pass_raw_threading),
+    ("pte-publish", pass_pte_publish),
 )
+
+#: Every rule a finding can carry, in report order.
+RULES = tuple(rule for rule, _fn in ALL_PASSES) + ("stale-waiver",)
