@@ -48,12 +48,16 @@ main()
         bool detect;
         bool trap;
     };
-    for (const Mode &mode :
-         {Mode{"no-detect", false, false},
-          Mode{"detect", true, false},
-          Mode{"detect+always-trap", true, true}}) {
-        std::fprintf(stderr, "  running %s...\n", mode.name);
-        const auto m = runWith(mode.detect, mode.trap);
+    const Mode modes[] = {Mode{"no-detect", false, false},
+                          Mode{"detect", true, false},
+                          Mode{"detect+always-trap", true, true}};
+    benchutil::CellRunner runner;
+    for (const Mode &mode : modes)
+        runner.add(mode.name,
+                   [mode] { return runWith(mode.detect, mode.trap); });
+    runner.run();
+    for (const Mode &mode : modes) {
+        const auto &m = runner.at(mode.name).metrics;
         table.addRow({mode.name,
                       stats::Table::fmt(cyclesToMillis(m.wall_cycles)),
                       std::to_string(m.sweep.pages_swept),

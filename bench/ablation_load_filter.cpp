@@ -11,7 +11,6 @@
  */
 
 #include "bench_util.h"
-#include "workload/pgbench.h"
 
 using namespace crev;
 using benchutil::overhead;
@@ -27,20 +26,34 @@ main()
     stats::Table table({"workload", "strategy", "wall_ovh", "cpu_ovh",
                         "bus_ovh", "worst_stw_us"});
 
-    // Pointer-chase-heavy SPEC rows: many capability loads, so the
-    // per-load probe tax shows.
-    benchutil::SpecRunner runner;
-    for (const auto &name : {"xalancbmk", "omnetpp"}) {
-        const auto &base = runner.run(name, core::Strategy::kBaseline);
-        for (core::Strategy s : {core::Strategy::kReloaded,
-                                 core::Strategy::kCheriotFilter}) {
-            const auto &m = runner.run(name, s);
+    // Pointer-chase-heavy SPEC rows (many capability loads, so the
+    // per-load probe tax shows), then the latency-sensitive row.
+    using benchutil::CellKey;
+    using core::Strategy;
+    const std::vector<Strategy> all{Strategy::kBaseline,
+                                    Strategy::kReloaded,
+                                    Strategy::kCheriotFilter};
+    std::vector<std::pair<std::string, std::vector<CellKey>>> rows{
+        {"xalancbmk", benchutil::specCells({"xalancbmk"}, all)},
+        {"omnetpp", benchutil::specCells({"omnetpp"}, all)},
+        {"pgbench", {}}};
+    for (Strategy s : all)
+        rows.back().second.push_back(benchutil::pgbenchCell(s));
+    benchutil::CellRunner runner;
+    for (const auto &[name, keys] : rows)
+        runner.request(keys);
+    runner.run();
+
+    for (const auto &[name, keys] : rows) {
+        const auto &base = runner.at(keys[0]).metrics;
+        for (std::size_t i = 1; i < keys.size(); ++i) {
+            const auto &m = runner.at(keys[i]).metrics;
             double worst = 0;
             for (const auto &e : m.epochs)
                 worst = std::max(worst,
                                  cyclesToMicros(e.stw_duration));
             table.addRow(
-                {name, core::strategyName(s),
+                {name, core::strategyName(keys[i].strategy),
                  stats::Table::pct(overhead(
                      static_cast<double>(m.wall_cycles),
                      static_cast<double>(base.wall_cycles))),
@@ -51,38 +64,6 @@ main()
                      static_cast<double>(m.bus_transactions_total),
                      static_cast<double>(
                          base.bus_transactions_total))),
-                 stats::Table::fmt(worst, 1)});
-        }
-    }
-
-    // The latency-sensitive row.
-    {
-        workload::PgbenchConfig cfg;
-        std::fprintf(stderr, "  running pgbench/baseline...\n");
-        const auto base =
-            workload::runPgbench(core::Strategy::kBaseline, cfg);
-        for (core::Strategy s : {core::Strategy::kReloaded,
-                                 core::Strategy::kCheriotFilter}) {
-            std::fprintf(stderr, "  running pgbench/%s...\n",
-                         core::strategyName(s));
-            const auto r = workload::runPgbench(s, cfg);
-            double worst = 0;
-            for (const auto &e : r.metrics.epochs)
-                worst = std::max(worst,
-                                 cyclesToMicros(e.stw_duration));
-            table.addRow(
-                {"pgbench", core::strategyName(s),
-                 stats::Table::pct(overhead(
-                     static_cast<double>(r.metrics.wall_cycles),
-                     static_cast<double>(base.metrics.wall_cycles))),
-                 stats::Table::pct(overhead(
-                     static_cast<double>(r.metrics.cpu_cycles),
-                     static_cast<double>(base.metrics.cpu_cycles))),
-                 stats::Table::pct(overhead(
-                     static_cast<double>(
-                         r.metrics.bus_transactions_total),
-                     static_cast<double>(
-                         base.metrics.bus_transactions_total))),
                  stats::Table::fmt(worst, 1)});
         }
     }

@@ -20,19 +20,24 @@ main()
     stats::Table table({"sweepers", "wall_ms", "cpu_ms",
                         "median_conc_us", "epochs"});
 
-    for (unsigned sweepers : {1u, 2u}) {
-        core::MachineConfig cfg;
-        cfg.strategy = core::Strategy::kReloaded;
-        cfg.policy = workload::specPolicy();
-        cfg.background_sweepers = sweepers;
-        // Give the helpers somewhere to run: cores 1 and 2.
-        cfg.revoker_core_mask = (1u << 1) | (1u << 2);
-        std::fprintf(stderr, "  running xalancbmk, %u sweeper(s)...\n",
-                     sweepers);
-        core::Machine m(cfg);
-        workload::runSpec(m, workload::specProfile("xalancbmk"));
-        const auto metrics = m.metrics();
+    benchutil::CellRunner runner;
+    for (unsigned sweepers : {1u, 2u})
+        runner.add("sweepers=" + std::to_string(sweepers), [sweepers] {
+            core::MachineConfig cfg;
+            cfg.strategy = core::Strategy::kReloaded;
+            cfg.policy = workload::specPolicy();
+            cfg.background_sweepers = sweepers;
+            // Give the helpers somewhere to run: cores 1 and 2.
+            cfg.revoker_core_mask = (1u << 1) | (1u << 2);
+            core::Machine m(cfg);
+            workload::runSpec(m, workload::specProfile("xalancbmk"));
+            return m.metrics();
+        });
+    runner.run();
 
+    for (unsigned sweepers : {1u, 2u}) {
+        const auto &metrics =
+            runner.at("sweepers=" + std::to_string(sweepers)).metrics;
         stats::Samples conc;
         for (const auto &e : metrics.epochs)
             conc.add(cyclesToMicros(e.concurrent_duration));

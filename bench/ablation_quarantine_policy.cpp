@@ -37,26 +37,25 @@ main()
     stats::Table table({"ratio", "min_KiB", "epochs", "wall_ms",
                         "bus_Mtx", "peak_rss_pages"});
 
+    // The ratio sweep at the scaled 64 KiB floor, then the floor
+    // sweep at the default 1/3 ratio.
     const std::size_t kMin = 64 * 1024;
-    for (double ratio : {1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0}) {
-        std::fprintf(stderr, "  running ratio=%.3f...\n", ratio);
-        const auto m = runWith(ratio, kMin);
+    const std::pair<double, std::size_t> configs[] = {
+        {1.0 / 6.0, kMin},        {1.0 / 3.0, kMin},
+        {2.0 / 3.0, kMin},        {1.0 / 3.0, 16u * 1024u},
+        {1.0 / 3.0, 256u * 1024u}};
+    const auto cellName = [](double ratio, std::size_t min_b) {
+        return "ratio=" + stats::Table::fmt(ratio, 3) +
+               "/min=" + std::to_string(min_b / 1024);
+    };
+    benchutil::CellRunner runner;
+    for (const auto &[ratio, min_b] : configs)
+        runner.add(cellName(ratio, min_b),
+                   [=] { return runWith(ratio, min_b); });
+    runner.run();
+    for (const auto &[ratio, min_b] : configs) {
+        const auto &m = runner.at(cellName(ratio, min_b)).metrics;
         table.addRow({stats::Table::fmt(ratio, 3),
-                      std::to_string(kMin / 1024),
-                      std::to_string(m.epochs.size()),
-                      stats::Table::fmt(cyclesToMillis(m.wall_cycles)),
-                      stats::Table::fmt(
-                          static_cast<double>(
-                              m.bus_transactions_total) /
-                              1e6,
-                          2),
-                      std::to_string(m.peak_rss_pages)});
-    }
-    for (std::size_t min_b : {16u * 1024u, 256u * 1024u}) {
-        std::fprintf(stderr, "  running min=%zu KiB...\n",
-                     min_b / 1024);
-        const auto m = runWith(1.0 / 3.0, min_b);
-        table.addRow({stats::Table::fmt(1.0 / 3.0, 3),
                       std::to_string(min_b / 1024),
                       std::to_string(m.epochs.size()),
                       stats::Table::fmt(cyclesToMillis(m.wall_cycles)),

@@ -1,32 +1,32 @@
 /**
  * @file
- * The host-performance trajectory bench: runs the union of the
- * fig1-fig9 simulation cells serially and then across the host thread
- * pool, measures the sweep microbench regimes, and writes everything
- * to BENCH_TRAJECTORY.json (machine-
- * readable; see DESIGN.md §9 for how to read BENCH_*.json files).
- * The trajectory file *accumulates*: each run appends one entry to
- * the top-level "runs" array, so successive PRs' CI artifacts form a
- * host-performance time series under one stable name instead of a
- * per-PR BENCH_PRn.json. Per-cell metrics are the full
- * MetricsRegistry export (counters/gauges/histograms).
+ * The host-performance trajectory bench: measures the sweep microbench
+ * regimes, runs the figure cell catalogue (figureCells()) on one host
+ * thread and then across the thread pool, and writes everything to
+ * BENCH_TRAJECTORY.json (machine-readable; see DESIGN.md §9 for how to
+ * read BENCH_*.json files). The trajectory file *accumulates*: each
+ * run appends one entry to the top-level "runs" array, so successive
+ * commits' CI artifacts form a host-performance time series under one
+ * stable name. Each cell is recorded as its name, host seconds and a
+ * digest of its full MetricsRegistry export.
  *
  * Simulated results are identical in every mode — this binary measures
  * how fast the *simulator* runs, and doubles as a regression gate for
  * the determinism contract (it fails loudly if simulated cycles per
- * page vary across sweep trials, or if any two e2e legs disagree).
+ * page vary across sweep trials, or if any cell's digest differs
+ * between two e2e legs).
  *
- * Usage: bench_all [--quick] [--out FILE] [--label NAME] [--threads N]
+ * Usage: bench_all [--quick] [--out FILE] [--label NAME]
  *   --quick: small cell set for CI smoke runs.
  *   --label: name recorded for this run's entry (default "local").
- *   --threads: host threads for the parallel e2e leg (default: the
- *     CREV_BENCH_THREADS/affinity-derived benchThreads()).
+ * The parallel leg runs on CREV_BENCH_THREADS host threads (default:
+ * the affinity-derived benchThreads()).
  */
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -34,13 +34,8 @@
 #include "bench_runner.h"
 #include "bench_util.h"
 #include "core/machine.h"
-#include "workload/grpc_qps.h"
-#include "workload/pgbench.h"
-#include "workload/spec.h"
 
 using namespace crev;
-using benchutil::CellResult;
-using benchutil::ParallelRunner;
 using benchutil::SweepRegime;
 using benchutil::SweepRegimeResult;
 
@@ -53,75 +48,43 @@ struct RegimeRow
     bool sim_cycles_match = true; //!< equal across every trial
 };
 
-void
-addCells(ParallelRunner &runner, bool quick)
+/** One cell of an e2e leg, as recorded in the trajectory. */
+struct CellRecord
 {
-    // SPEC-like profiles (figs 1-4, 9). Quick mode keeps the two
-    // fastest revoking profiles and the headline strategies.
-    std::vector<std::string> profiles;
-    std::vector<core::Strategy> spec_strategies;
-    if (quick) {
-        profiles = {"hmmer_retro", "astar"};
-        spec_strategies = {core::Strategy::kBaseline,
-                           core::Strategy::kCornucopia,
-                           core::Strategy::kReloaded};
-    } else {
-        for (const auto &p : workload::specProfiles())
-            profiles.push_back(p.name);
-        spec_strategies = {core::Strategy::kBaseline};
-        spec_strategies.insert(spec_strategies.end(),
-                               benchutil::kSafeAndPaint.begin(),
-                               benchutil::kSafeAndPaint.end());
-    }
-    for (const auto &name : profiles)
-        for (core::Strategy s : spec_strategies)
-            runner.add("spec/" + name + "/" + core::strategyName(s),
-                       [s, name] {
-                           return workload::runSpecOn(
-                               s, workload::specProfile(name));
-                       });
+    std::string name;
+    double host_seconds;
+    std::string digest; //!< FNV-1a-64 of the cell's metricsJson()
+};
 
-    // pgbench (figs 5-7, 9) and gRPC QPS (figs 8-9).
-    std::vector<core::Strategy> srv_strategies{
-        core::Strategy::kBaseline};
-    if (quick) {
-        srv_strategies.push_back(core::Strategy::kReloaded);
-    } else {
-        srv_strategies.insert(srv_strategies.end(),
-                              benchutil::kSafeAndPaint.begin(),
-                              benchutil::kSafeAndPaint.end());
+std::string
+digest(const core::RunMetrics &m)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : benchutil::metricsJson(m)) {
+        h ^= c;
+        h *= 0x100000001b3ull;
     }
-    for (core::Strategy s : srv_strategies)
-        runner.add(std::string("pgbench/") + core::strategyName(s),
-                   [s] {
-                       workload::PgbenchConfig cfg;
-                       return workload::runPgbench(s, cfg).metrics;
-                   });
-    if (!quick)
-        for (core::Strategy s :
-             {core::Strategy::kBaseline, core::Strategy::kCheriVoke,
-              core::Strategy::kCornucopia, core::Strategy::kReloaded})
-            runner.add(std::string("grpc/") + core::strategyName(s),
-                       [s] {
-                           workload::GrpcConfig cfg;
-                           return workload::runGrpcQps(s, cfg).metrics;
-                       });
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
 }
 
+/** Run the figure cells on @p threads host threads; returns the
+ *  leg's wall seconds. */
 double
-timedRun(bool quick, unsigned threads, const std::string &cost_file,
-         std::vector<CellResult> *results_out)
+runLeg(bool quick, unsigned threads, std::vector<CellRecord> *cells)
 {
-    ParallelRunner runner;
-    runner.setCostFile(cost_file);
-    addCells(runner, quick);
+    benchutil::CellRunner runner;
+    runner.request(benchutil::figureCells(quick));
     const auto start = std::chrono::steady_clock::now();
-    auto results = runner.run(threads);
+    runner.run(threads);
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-    if (results_out != nullptr)
-        *results_out = std::move(results);
+    cells->clear();
+    for (const auto &r : runner.results())
+        cells->push_back({r.name, r.host_seconds, digest(r.metrics)});
     return secs;
 }
 
@@ -158,29 +121,16 @@ readPreviousRuns(const std::string &path)
     return runs.substr(first, last - first + 1);
 }
 
-/** The simulated-result fields compared across host configurations
- *  and trials: a summary fingerprint of the run. */
+/** Simulated results must be identical across host configurations:
+ *  the same cells in the same order with equal digests. */
 bool
-sameMetrics(const core::RunMetrics &a, const core::RunMetrics &b)
-{
-    return a.wall_cycles == b.wall_cycles &&
-           a.cpu_cycles == b.cpu_cycles &&
-           a.bus_transactions_total == b.bus_transactions_total &&
-           a.peak_rss_pages == b.peak_rss_pages &&
-           a.epochs.size() == b.epochs.size() &&
-           a.sweep.caps_revoked == b.sweep.caps_revoked;
-}
-
-/** Simulated results must be identical across host configurations. */
-bool
-sameSimResults(const std::vector<CellResult> &a,
-               const std::vector<CellResult> &b)
+sameSimResults(const std::vector<CellRecord> &a,
+               const std::vector<CellRecord> &b)
 {
     if (a.size() != b.size())
         return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].name != b[i].name ||
-            !sameMetrics(a[i].metrics, b[i].metrics)) {
+        if (a[i].name != b[i].name || a[i].digest != b[i].digest) {
             std::fprintf(stderr,
                          "FAIL: cell %s simulated results differ "
                          "across host configurations\n",
@@ -199,17 +149,6 @@ main(int argc, char **argv)
     bool quick = false;
     std::string out_path = "BENCH_TRAJECTORY.json";
     std::string label = "local";
-    unsigned threads_flag = 0; // 0 = benchThreads()
-    const auto parseCount = [](const char *s) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(s, &end, 10);
-        if (end == s || *end != '\0' || v == 0 || v > 1024) {
-            std::fprintf(stderr, "bench_all: bad thread count '%s'\n",
-                         s);
-            std::exit(2);
-        }
-        return static_cast<unsigned>(v);
-    };
     // Anything unknown or a missing value is rejected before any cell
     // runs, so a mistyped flag cannot append a full-size run.
     for (int i = 1; i < argc; ++i) {
@@ -220,17 +159,18 @@ main(int argc, char **argv)
             out_path = argv[++i];
         else if (std::strcmp(argv[i], "--label") == 0 && has_value)
             label = argv[++i];
-        else if (std::strcmp(argv[i], "--threads") == 0 && has_value)
-            threads_flag = parseCount(argv[++i]);
         else {
             std::fprintf(stderr,
                          "bench_all: bad argument '%s'\n"
                          "usage: bench_all [--quick] [--out FILE] "
-                         "[--label NAME] [--threads N]\n",
+                         "[--label NAME]\n",
                          argv[i]);
             return 2;
         }
     }
+
+    // A malformed CREV_BENCH_THREADS exits here, before any work.
+    const unsigned threads = benchutil::benchThreads();
 
     benchutil::banner("Host-performance trajectory (bench_all)",
                       "simulator host perf; no paper figure");
@@ -291,22 +231,19 @@ main(int argc, char **argv)
     // must be identical in every leg. Two interleaved rounds, minimum
     // kept per configuration — the same noise treatment as the
     // microbench.
-    const unsigned threads = threads_flag != 0
-                                 ? threads_flag
-                                 : benchutil::benchThreads();
     const std::size_t rounds = 2;
     double serial_secs = 0, parallel_secs = 0;
-    std::vector<CellResult> cells;
+    std::vector<CellRecord> cells;
     for (std::size_t round = 0; round < rounds; ++round) {
         std::fprintf(stderr, "  e2e round %zu/%zu: 1 host thread...\n",
                      round + 1, rounds);
-        std::vector<CellResult> sc;
-        const double s = timedRun(quick, 1, out_path, &sc);
+        std::vector<CellRecord> sc;
+        const double s = runLeg(quick, 1, &sc);
         std::fprintf(stderr,
                      "  e2e round %zu/%zu: %u host threads...\n",
                      round + 1, rounds, threads);
-        std::vector<CellResult> pc;
-        const double p = timedRun(quick, threads, out_path, &pc);
+        std::vector<CellRecord> pc;
+        const double p = runLeg(quick, threads, &pc);
         determinism_ok = determinism_ok && sameSimResults(sc, pc);
         if (round == 0) {
             serial_secs = s;
@@ -372,10 +309,9 @@ main(int argc, char **argv)
         std::fprintf(f,
                      "        {\"name\": \"%s\", "
                      "\"host_seconds\": %.4f, "
-                     "\"metrics\": %s}%s\n",
+                     "\"digest\": \"%s\"}%s\n",
                      benchutil::jsonEscape(cells[i].name).c_str(),
-                     cells[i].host_seconds,
-                     benchutil::metricsJson(cells[i].metrics).c_str(),
+                     cells[i].host_seconds, cells[i].digest.c_str(),
                      i + 1 < cells.size() ? "," : "");
     std::fprintf(f, "      ]\n    }\n  ]\n}\n");
     std::fclose(f);

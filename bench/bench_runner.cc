@@ -1,18 +1,18 @@
 #include "bench_runner.h"
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <numeric>
+#include <thread>
 
 #include <unistd.h>
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
+#include "base/logging.h"
 #include "core/mutator.h"
 #include "revoker/bitmap.h"
 #include "revoker/sweep.h"
@@ -28,88 +28,22 @@ namespace crev::benchutil {
 
 namespace {
 
-/**
- * Most recent "host_seconds" per cell name from a trajectory file.
- * Later occurrences overwrite earlier ones, so the newest run entry
- * wins. Tolerant by construction: a missing file or any other text
- * yields an empty (or partial) map and the caller falls back to
- * static estimates.
- */
-std::map<std::string, double>
-loadMeasuredCosts(const std::string &path)
+/** Run a catalogue cell at its default config. */
+CellResult
+runCell(const CellKey &key)
 {
-    std::map<std::string, double> costs;
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (f == nullptr)
-        return costs;
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
-    const std::string name_key = "{\"name\": \"";
-    const std::string secs_key = "\"host_seconds\": ";
-    std::size_t pos = 0;
-    while ((pos = text.find(name_key, pos)) != std::string::npos) {
-        pos += name_key.size();
-        const std::size_t name_end = text.find('"', pos);
-        if (name_end == std::string::npos)
-            break;
-        const std::string name = text.substr(pos, name_end - pos);
-        const std::size_t secs = text.find(secs_key, name_end);
-        if (secs == std::string::npos)
-            break;
-        costs[name] =
-            std::strtod(text.c_str() + secs + secs_key.size(), nullptr);
-        pos = name_end;
+    switch (key.workload) {
+      case Workload::kSpec:
+        return workload::runSpecOn(key.strategy,
+                                   workload::specProfile(key.profile));
+      case Workload::kPgbench:
+        return workload::runPgbench(key.strategy,
+                                    workload::PgbenchConfig{});
+      case Workload::kGrpc:
+        return workload::runGrpcQps(key.strategy,
+                                    workload::GrpcConfig{});
     }
-    return costs;
-}
-
-/** Relative strategy weight from the "<...>/<strategy>" name suffix. */
-double
-strategyWeight(const std::string &name)
-{
-    const std::size_t slash = name.rfind('/');
-    const std::string strategy =
-        slash == std::string::npos ? "" : name.substr(slash + 1);
-    if (strategy == "cheriot-filter")
-        return 3.5;
-    if (strategy == "cherivoke" || strategy == "cornucopia")
-        return 2.5;
-    if (strategy == "reloaded")
-        return 2.0;
-    if (strategy == "paint+sync")
-        return 1.5;
-    return 1.0;
-}
-
-/** The "<workload>/..." prefix of a cell name (empty if flat). */
-std::string
-workloadPrefix(const std::string &name)
-{
-    const std::size_t slash = name.rfind('/');
-    return slash == std::string::npos ? "" : name.substr(0, slash);
-}
-
-/**
- * Static cost estimate for cells with no measured history, from the
- * cell-name convention "<workload>/.../<strategy>". Only the ordering
- * matters, so rough relative weights are enough. This is the last
- * resort: measured siblings of the same workload are preferred (see
- * ParallelRunner::run).
- */
-double
-staticCostEstimate(const std::string &name)
-{
-    double cost = 1.0;
-    if (name.compare(0, 8, "pgbench/") == 0)
-        cost = 3.0;
-    else if (name.compare(0, 5, "grpc/") == 0)
-        cost = 2.0;
-    return cost * strategyWeight(name);
+    return {};
 }
 
 } // namespace
@@ -118,9 +52,21 @@ unsigned
 benchThreads()
 {
     if (const char *env = std::getenv("CREV_BENCH_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<unsigned>(n);
+        // Plain decimal only: strtoul alone would read "4x" as 4 and
+        // "abc" as 0, silently changing what the run measures.
+        const std::size_t len = std::strlen(env);
+        const bool digits =
+            len != 0 && std::strspn(env, "0123456789") == len;
+        const unsigned long n =
+            digits ? std::strtoul(env, nullptr, 10) : 0;
+        if (n == 0 || n > 1024) {
+            std::fprintf(stderr,
+                         "CREV_BENCH_THREADS: expected a host thread "
+                         "count in 1..1024, got '%s'\n",
+                         env);
+            std::exit(2);
+        }
+        return static_cast<unsigned>(n);
     }
     unsigned hw = std::thread::hardware_concurrency();
 #if defined(__linux__)
@@ -137,83 +83,164 @@ benchThreads()
     return hw != 0 ? hw : 1;
 }
 
-void
-ParallelRunner::add(std::string name,
-                    std::function<core::RunMetrics()> fn)
+std::string
+CellKey::name() const
 {
-    cells_.push_back(Cell{std::move(name), std::move(fn)});
+    const std::string s = core::strategyName(strategy);
+    switch (workload) {
+      case Workload::kSpec:
+        return "spec/" + profile + "/" + s;
+      case Workload::kPgbench:
+        return "pgbench/" + s;
+      case Workload::kGrpc:
+        return "grpc/" + s;
+    }
+    return s;
 }
 
-std::vector<CellResult>
-ParallelRunner::run(unsigned threads)
+CellKey
+specCell(const std::string &profile, core::Strategy s)
 {
-    // Workloads memoize lazily-built statics (profile tables); touch
-    // them once on this thread so workers only ever read them.
-    workload::specProfiles();
+    return CellKey{Workload::kSpec, profile, s};
+}
 
-    // Longest-expected-first start order. Stable sort with the
-    // submission index as tiebreak keeps the order deterministic for
-    // any cost map contents. Cost preference: the cell's own newest
-    // measured host_seconds, else a sibling-derived estimate (measured
-    // siblings of the same workload, rescaled by relative strategy
-    // weight), else the static weight table.
-    const std::map<std::string, double> measured =
-        loadMeasuredCosts(cost_file_);
-    std::vector<double> cost(cells_.size());
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        const std::string &name = cells_[i].name;
-        const auto it = measured.find(name);
-        if (it != measured.end()) {
-            cost[i] = it->second;
-            continue;
-        }
-        const std::string prefix = workloadPrefix(name);
-        double unit_sum = 0;
-        std::size_t unit_n = 0;
-        for (const auto &[mn, secs] : measured) {
-            if (workloadPrefix(mn) != prefix)
-                continue;
-            const double w = strategyWeight(mn);
-            if (secs > 0 && w > 0) {
-                unit_sum += secs / w;
-                ++unit_n;
-            }
-        }
-        cost[i] = unit_n != 0
-                      ? (unit_sum / static_cast<double>(unit_n)) *
-                            strategyWeight(name)
-                      : staticCostEstimate(name);
+CellKey
+pgbenchCell(core::Strategy s)
+{
+    return CellKey{Workload::kPgbench, "", s};
+}
+
+CellKey
+grpcCell(core::Strategy s)
+{
+    return CellKey{Workload::kGrpc, "", s};
+}
+
+std::vector<std::string>
+specNames()
+{
+    std::vector<std::string> names;
+    for (const auto &p : workload::specProfiles())
+        names.push_back(p.name);
+    return names;
+}
+
+std::vector<CellKey>
+specCells(const std::vector<std::string> &profiles,
+          const std::vector<core::Strategy> &strategies)
+{
+    std::vector<CellKey> keys;
+    for (const auto &p : profiles)
+        for (core::Strategy s : strategies)
+            keys.push_back(specCell(p, s));
+    return keys;
+}
+
+std::vector<CellKey>
+figureCells(bool quick)
+{
+    using core::Strategy;
+    if (quick) {
+        auto keys = specCells({"hmmer_retro", "astar"},
+                              {Strategy::kBaseline, Strategy::kCornucopia,
+                               Strategy::kReloaded});
+        keys.push_back(pgbenchCell(Strategy::kBaseline));
+        keys.push_back(pgbenchCell(Strategy::kReloaded));
+        return keys;
     }
-    std::vector<std::size_t> order(cells_.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return cost[a] > cost[b];
-                     });
+    // Profile order puts the slowest cells (xalancbmk, omnetpp) first
+    // and the short server cells last, so the runner's request-order
+    // start is close to longest-first.
+    std::vector<Strategy> all{Strategy::kBaseline};
+    all.insert(all.end(), kSafeAndPaint.begin(), kSafeAndPaint.end());
+    auto keys = specCells(specNames(), all);
+    for (Strategy s : all)
+        keys.push_back(pgbenchCell(s));
+    for (Strategy s : {Strategy::kBaseline, Strategy::kCheriVoke,
+                       Strategy::kCornucopia, Strategy::kReloaded})
+        keys.push_back(grpcCell(s));
+    return keys;
+}
 
-    auto by_start = parallelMap(
-        cells_.size(),
-        [&](std::size_t k) {
-            const std::size_t i = order[k];
-            CellResult r;
-            r.name = cells_[i].name;
-            const auto start = std::chrono::steady_clock::now();
-            r.metrics = cells_[i].fn();
-            r.host_seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            return r;
-        },
-        threads);
+void
+CellRunner::request(const CellKey &key)
+{
+    add(key.name(), [key] { return runCell(key); });
+}
 
-    // Scatter back to submission order — scheduling is invisible in
-    // the results.
-    std::vector<CellResult> results(cells_.size());
-    for (std::size_t k = 0; k < by_start.size(); ++k)
-        results[order[k]] = std::move(by_start[k]);
-    cells_.clear();
-    return results;
+void
+CellRunner::request(const std::vector<CellKey> &keys)
+{
+    for (const auto &k : keys)
+        request(k);
+}
+
+void
+CellRunner::add(std::string name, std::function<CellResult()> fn)
+{
+    if (!index_.emplace(name, results_.size()).second)
+        return;
+    CellResult slot;
+    slot.name = std::move(name);
+    results_.push_back(std::move(slot));
+    fns_.push_back(std::move(fn));
+}
+
+void
+CellRunner::run(unsigned threads)
+{
+    const std::size_t first = ran_;
+    const std::size_t n = results_.size() - first;
+    if (n == 0)
+        return;
+    unsigned workers = threads != 0 ? threads : benchThreads();
+    if (workers > n)
+        workers = static_cast<unsigned>(n);
+    std::fprintf(stderr, "  running %zu cells on %u host threads...\n",
+                 n, workers);
+
+    // Each cell lands in its own slot, so scheduling never shows in
+    // the results; workers take cells in request order.
+    const auto runOne = [&](std::size_t i) {
+        CellResult &slot = results_[first + i];
+        const auto start = std::chrono::steady_clock::now();
+        CellResult r = fns_[first + i]();
+        r.host_seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+        r.name = slot.name;
+        slot = std::move(r);
+    };
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            runOne(i);
+    } else {
+        std::atomic<std::size_t> next{0};
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (unsigned w = 0; w < workers; ++w)
+            pool.emplace_back([&] {
+                for (;;) {
+                    const std::size_t i =
+                        next.fetch_add(1, std::memory_order_relaxed);
+                    if (i >= n)
+                        return;
+                    runOne(i);
+                }
+            });
+        for (auto &t : pool)
+            t.join();
+    }
+    ran_ = results_.size();
+}
+
+const CellResult &
+CellRunner::at(const std::string &name) const
+{
+    const auto it = index_.find(name);
+    if (it == index_.end() || it->second >= ran_)
+        fatal("bench cell %s was not run", name.c_str());
+    return results_[it->second];
 }
 
 const char *

@@ -1,14 +1,16 @@
 /**
  * @file
- * Host-parallel execution of independent bench cells.
+ * The bench cell catalogue and the one runner every bench binary uses.
  *
- * A *cell* is one (strategy x workload x config) simulation. Cells
+ * A *cell* is one (workload x strategy x config) simulation. Cells
  * never share mutable state — each owns its Machine — so they can run
  * concurrently on host threads without affecting any simulated result:
  * every cell's virtual-time execution is bit-identical to a serial
- * run. The runner records host wall-seconds per cell and preserves
- * submission order in its results, so bench output stays
- * deterministic regardless of scheduling.
+ * run. The figure cells form one catalogue (CellKey, figureCells());
+ * ablations add bespoke named cells to the same runner. The runner
+ * memoizes by cell name, records host wall-seconds per cell and
+ * returns results by key, so bench output is deterministic regardless
+ * of scheduling.
  *
  * Also here: the sweep-throughput harness used by the microbenchmarks
  * and BENCH_*.json trajectory files (DESIGN.md §9 describes the file
@@ -18,117 +20,134 @@
 #ifndef CREV_BENCH_BENCH_RUNNER_H_
 #define CREV_BENCH_BENCH_RUNNER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/machine.h"
+#include "stats/summary.h"
+#include "workload/grpc_qps.h"
+#include "workload/pgbench.h"
 
 namespace crev::benchutil {
 
 /**
  * Worker count for host-parallel benching: the CREV_BENCH_THREADS
  * environment variable when set, else hardware concurrency capped at
- * the process's CPU-affinity set (min 1).
+ * the process's CPU-affinity set (min 1). A set value that is not a
+ * plain decimal in [1, 1024] is an error: the process exits 2.
  */
 unsigned benchThreads();
 
-/**
- * Run fn(i) for every i in [0, n) across @p threads host threads
- * (0 = benchThreads()). Results land at their own index, so output
- * order is deterministic. fn must not touch shared mutable state.
- *
- * @p threads == 0 always executes on spawned workers, even when the
- * pool has a single slot: the pooled configuration must measure the
- * pool path (worker stacks, per-thread malloc arenas), not silently
- * degrade to the caller's thread. An explicit 1 runs inline.
- */
-template <typename Fn>
-auto
-parallelMap(std::size_t n, Fn fn, unsigned threads = 0)
-    -> std::vector<decltype(fn(std::size_t{0}))>
-{
-    using R = decltype(fn(std::size_t{0}));
-    std::vector<R> out(n);
-    if (n == 0)
-        return out;
-    const bool always_pool = threads == 0;
-    unsigned workers = threads != 0 ? threads : benchThreads();
-    if (workers > n)
-        workers = static_cast<unsigned>(n);
-    if (workers <= 1 && !always_pool) {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = fn(i);
-        return out;
-    }
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back([&] {
-            for (;;) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                out[i] = fn(i);
-            }
-        });
-    for (auto &t : pool)
-        t.join();
-    return out;
-}
+/** Strategies most figures compare (baseline is the denominator). */
+inline const std::vector<core::Strategy> kSafe = {
+    core::Strategy::kCheriVoke, core::Strategy::kCornucopia,
+    core::Strategy::kReloaded};
 
-/** One completed bench cell. */
+/** Including Paint+sync (fig. 2, 5-7). */
+inline const std::vector<core::Strategy> kSafeAndPaint = {
+    core::Strategy::kPaintOnly, core::Strategy::kCheriVoke,
+    core::Strategy::kCornucopia, core::Strategy::kReloaded};
+
+/** The workload generators of the catalogue. */
+enum class Workload { kSpec, kPgbench, kGrpc };
+
+/**
+ * One catalogue cell: a workload generator at its default config
+ * under one strategy. name() is the cell's stable identity in bench
+ * output and BENCH_TRAJECTORY.json: "spec/<profile>/<strategy>",
+ * "pgbench/<strategy>" or "grpc/<strategy>".
+ */
+struct CellKey
+{
+    Workload workload;
+    std::string profile; //!< SPEC-like profile; empty otherwise
+    core::Strategy strategy;
+
+    std::string name() const;
+};
+
+CellKey specCell(const std::string &profile, core::Strategy s);
+CellKey pgbenchCell(core::Strategy s);
+CellKey grpcCell(core::Strategy s);
+
+/** Every SPEC-like profile name, in the paper's figure order. */
+std::vector<std::string> specNames();
+
+/** Every profile x strategy pair, profile-major. */
+std::vector<CellKey>
+specCells(const std::vector<std::string> &profiles,
+          const std::vector<core::Strategy> &strategies);
+
+/**
+ * bench_all's end-to-end cell set, the union of the figure cells: 54
+ * cells, or 8 in @p quick mode (two fast revoking profiles, headline
+ * strategies, no gRPC).
+ */
+std::vector<CellKey> figureCells(bool quick);
+
+/** One completed cell. */
 struct CellResult
 {
     std::string name;
-    double host_seconds = 0; //!< host wall time of this cell alone
+    double host_seconds = 0;   //!< host wall time of this cell alone
     core::RunMetrics metrics;
+    stats::Samples latency_ms; //!< pgbench and gRPC cells
+    double qps = 0;            //!< gRPC cells
+
+    CellResult() = default;
+    CellResult(core::RunMetrics m) : metrics(std::move(m)) {}
+    CellResult(workload::PgbenchResult r)
+        : metrics(std::move(r.metrics)),
+          latency_ms(std::move(r.latency_ms))
+    {
+    }
+    CellResult(workload::GrpcResult r)
+        : metrics(std::move(r.metrics)),
+          latency_ms(std::move(r.latency_ms)), qps(r.qps)
+    {
+    }
 };
 
 /**
- * Collects named cells, then runs them across a host thread pool.
- * Results come back in submission order.
- *
- * Cells are *started* longest-expected-first: with cells spanning two
- * orders of magnitude in runtime, submission-order scheduling
- * routinely strands one slow cell on an otherwise idle pool at the
- * tail. Expected costs come from the most recent "host_seconds"
- * recorded per cell name in a prior trajectory file (setCostFile),
- * falling back to a static strategy/workload weight table for cells
- * never measured. Scheduling order never touches results: each cell
- * owns its Machine and lands at its submission index.
+ * Collects cells, runs them across a host thread pool, and memoizes
+ * them by name: a cell requested again (in the same or a later batch)
+ * runs once. Each run() starts the not-yet-run cells in request order.
  */
-class ParallelRunner
+class CellRunner
 {
   public:
-    void add(std::string name, std::function<core::RunMetrics()> fn);
+    /** Request catalogue cells. */
+    void request(const CellKey &key);
+    void request(const std::vector<CellKey> &keys);
 
-    /**
-     * Trajectory file to read expected per-cell costs from (default
-     * BENCH_TRAJECTORY.json in the working directory; missing or
-     * unparsable files just mean the static fallback costs).
-     */
-    void setCostFile(std::string path) { cost_file_ = std::move(path); }
+    /** Add a bespoke cell; a name already present keeps its first
+     *  function. @p fn must not touch shared mutable state. */
+    void add(std::string name, std::function<CellResult()> fn);
 
-    /** Run all cells on @p threads workers (0 = benchThreads(),
-     *  always on spawned pool workers — see parallelMap). */
-    std::vector<CellResult> run(unsigned threads = 0);
+    /** Run every pending cell on @p threads workers
+     *  (0 = benchThreads(); 1 runs on the calling thread). */
+    void run(unsigned threads = 0);
 
-    std::size_t size() const { return cells_.size(); }
+    /** A cell's result; fatal if it was never requested or run. */
+    const CellResult &at(const std::string &name) const;
+    const CellResult &at(const CellKey &key) const
+    {
+        return at(key.name());
+    }
+
+    /** Every requested cell in request order (valid after run()). */
+    const std::vector<CellResult> &results() const { return results_; }
 
   private:
-    struct Cell
-    {
-        std::string name;
-        std::function<core::RunMetrics()> fn;
-    };
-    std::vector<Cell> cells_;
-    std::string cost_file_ = "BENCH_TRAJECTORY.json";
+    /** Every requested cell, in request order; results_[0, ran_) have
+     *  run, and fns_[i] runs results_[i]. */
+    std::vector<CellResult> results_;
+    std::vector<std::function<CellResult()>> fns_;
+    std::size_t ran_ = 0;
+    std::map<std::string, std::size_t> index_; //!< name -> slot
 };
 
 // --- sweep-throughput harness (microbench + BENCH_*.json) ---

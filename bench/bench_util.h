@@ -3,9 +3,12 @@
  * Shared helpers for the experiment-reproduction bench binaries.
  *
  * Each binary regenerates one table or figure from the paper's
- * evaluation (§5), printing the same rows/series. Absolute numbers are
- * simulated cycles, not Morello hardware measurements — EXPERIMENTS.md
- * records the shape comparison against the paper.
+ * evaluation (§5), printing the same rows/series. It requests its
+ * cells from the one catalogue and runner in bench_runner.h, runs
+ * them on CREV_BENCH_THREADS host threads, and formats the results.
+ * Absolute numbers are simulated cycles, not Morello hardware
+ * measurements — EXPERIMENTS.md records the shape comparison against
+ * the paper.
  */
 
 #ifndef CREV_BENCH_BENCH_UTIL_H_
@@ -24,96 +27,12 @@
 
 namespace crev::benchutil {
 
-/** Strategies most figures compare (baseline is the denominator). */
-inline const std::vector<core::Strategy> kSafe = {
-    core::Strategy::kCheriVoke, core::Strategy::kCornucopia,
-    core::Strategy::kReloaded};
-
-/** Including Paint+sync (fig. 2, 5-7). */
-inline const std::vector<core::Strategy> kSafeAndPaint = {
-    core::Strategy::kPaintOnly, core::Strategy::kCheriVoke,
-    core::Strategy::kCornucopia, core::Strategy::kReloaded};
-
 /** test/baseline - 1, as a ratio. */
 inline double
 overhead(double test, double baseline)
 {
     return baseline > 0 ? test / baseline - 1.0 : 0.0;
 }
-
-/**
- * Memoizing runner for the SPEC-like profiles so a bench that needs
- * both the baseline and the test conditions runs each sim once.
- */
-class SpecRunner
-{
-  public:
-    const core::RunMetrics &
-    run(const std::string &profile, core::Strategy s)
-    {
-        const std::string key =
-            profile + "/" + core::strategyName(s);
-        auto it = cache_.find(key);
-        if (it == cache_.end()) {
-            std::fprintf(stderr, "  running %s...\n", key.c_str());
-            it = cache_
-                     .emplace(key, workload::runSpecOn(
-                                       s, workload::specProfile(profile)))
-                     .first;
-        }
-        return it->second;
-    }
-
-    /**
-     * Fill the cache for @p profiles x @p strategies across the host
-     * thread pool. Each cell owns its Machine, so results are
-     * bit-identical to serial run() calls — prefetching only changes
-     * how long the bench binary takes.
-     */
-    void
-    prefetch(const std::vector<std::string> &profiles,
-             const std::vector<core::Strategy> &strategies)
-    {
-        struct Job
-        {
-            std::string key;
-            const workload::SpecProfile *profile;
-            core::Strategy s;
-        };
-        std::vector<Job> jobs;
-        for (const auto &p : profiles)
-            for (core::Strategy s : strategies) {
-                const std::string key =
-                    p + "/" + core::strategyName(s);
-                if (cache_.count(key) == 0)
-                    jobs.push_back(
-                        Job{key, &workload::specProfile(p), s});
-            }
-        if (jobs.empty())
-            return;
-        std::fprintf(stderr,
-                     "  running %zu spec cells on %u host threads...\n",
-                     jobs.size(), benchThreads());
-        auto results = parallelMap(jobs.size(), [&](std::size_t i) {
-            return workload::runSpecOn(jobs[i].s, *jobs[i].profile);
-        });
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            cache_.emplace(jobs[i].key, std::move(results[i]));
-    }
-
-    /** prefetch() over every profile. */
-    void
-    prefetchAll(const std::vector<core::Strategy> &strategies)
-    {
-        std::vector<std::string> names;
-        for (const auto &p : workload::specProfiles())
-            names.push_back(p.name);
-        prefetch(names, strategies);
-    }
-
-  private:
-    std::map<std::string, core::RunMetrics> cache_;
-};
 
 /** Print the standard bench header. */
 inline void

@@ -13,6 +13,7 @@
 
 using namespace crev;
 using benchutil::overhead;
+using benchutil::specCell;
 
 int
 main()
@@ -20,11 +21,12 @@ main()
     benchutil::banner("Figure 1: SPEC CPU2006 INT wall-clock overheads",
                       "paper fig. 1");
 
-    benchutil::SpecRunner runner;
     std::vector<core::Strategy> all{core::Strategy::kBaseline};
     all.insert(all.end(), benchutil::kSafe.begin(),
                benchutil::kSafe.end());
-    runner.prefetchAll(all);
+    benchutil::CellRunner runner;
+    runner.request(benchutil::specCells(benchutil::specNames(), all));
+    runner.run();
 
     stats::Table table({"benchmark", "baseline_ms", "cherivoke",
                         "cornucopia", "reloaded", "epochs(rel)"});
@@ -33,13 +35,14 @@ main()
 
     for (const auto &profile : workload::specProfiles()) {
         const auto &base =
-            runner.run(profile.name, core::Strategy::kBaseline);
+            runner.at(specCell(profile.name, core::Strategy::kBaseline))
+                .metrics;
         std::vector<std::string> row{
             profile.name,
             stats::Table::fmt(cyclesToMillis(base.wall_cycles))};
         std::size_t rel_epochs = 0;
         for (core::Strategy s : benchutil::kSafe) {
-            const auto &m = runner.run(profile.name, s);
+            const auto &m = runner.at(specCell(profile.name, s)).metrics;
             const double o = overhead(
                 static_cast<double>(m.wall_cycles),
                 static_cast<double>(base.wall_cycles));

@@ -12,6 +12,7 @@
 
 using namespace crev;
 using benchutil::overhead;
+using benchutil::specCell;
 
 int
 main()
@@ -19,11 +20,12 @@ main()
     benchutil::banner("Figure 2: SPEC CPU-time overheads (all cores)",
                       "paper fig. 2");
 
-    benchutil::SpecRunner runner;
     std::vector<core::Strategy> all{core::Strategy::kBaseline};
     all.insert(all.end(), benchutil::kSafeAndPaint.begin(),
                benchutil::kSafeAndPaint.end());
-    runner.prefetchAll(all);
+    benchutil::CellRunner runner;
+    runner.request(benchutil::specCells(benchutil::specNames(), all));
+    runner.run();
 
     stats::Table table({"benchmark", "baseline_ms", "paint+sync",
                         "cherivoke", "cornucopia", "reloaded"});
@@ -33,13 +35,14 @@ main()
 
     for (const auto &profile : workload::specProfiles()) {
         const auto &base =
-            runner.run(profile.name, core::Strategy::kBaseline);
+            runner.at(specCell(profile.name, core::Strategy::kBaseline))
+                .metrics;
         std::vector<std::string> row{
             profile.name,
             stats::Table::fmt(cyclesToMillis(base.cpu_cycles))};
         double corn = 0, rel = 0;
         for (core::Strategy s : benchutil::kSafeAndPaint) {
-            const auto &m = runner.run(profile.name, s);
+            const auto &m = runner.at(specCell(profile.name, s)).metrics;
             const double o =
                 overhead(static_cast<double>(m.cpu_cycles),
                          static_cast<double>(base.cpu_cycles));

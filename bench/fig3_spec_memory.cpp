@@ -17,6 +17,7 @@
 #include "bench_util.h"
 
 using namespace crev;
+using benchutil::specCell;
 
 int
 main()
@@ -30,16 +31,21 @@ main()
                                       "libquantum", "astar",
                                       "gobmk",     "hmmer_nph3"};
 
-    benchutil::SpecRunner runner;
     std::vector<core::Strategy> all{core::Strategy::kBaseline};
     all.insert(all.end(), benchutil::kSafe.begin(),
                benchutil::kSafe.end());
-    runner.prefetch(names, all);
+    benchutil::CellRunner runner;
+    runner.request(benchutil::specCells(names, all));
+    runner.run();
+    const auto spec = [&](const std::string &n, core::Strategy s)
+        -> const core::RunMetrics & {
+        return runner.at(specCell(n, s)).metrics;
+    };
 
     // Sort descending by baseline RSS (MiB), as the paper does.
     std::vector<std::pair<double, std::string>> order;
     for (const auto &n : names) {
-        const auto &base = runner.run(n, core::Strategy::kBaseline);
+        const auto &base = spec(n, core::Strategy::kBaseline);
         order.push_back(
             {static_cast<double>(base.peak_rss_pages) * 4096.0 /
                  (1024.0 * 1024.0),
@@ -50,10 +56,10 @@ main()
     stats::Table table({"benchmark", "baseline_MiB", "cherivoke",
                         "cornucopia", "reloaded", "reloaded_quar%"});
     for (const auto &[mib, n] : order) {
-        const auto &base = runner.run(n, core::Strategy::kBaseline);
+        const auto &base = spec(n, core::Strategy::kBaseline);
         std::vector<std::string> row{n, stats::Table::fmt(mib, 2)};
         for (core::Strategy s : benchutil::kSafe) {
-            const auto &m = runner.run(n, s);
+            const auto &m = spec(n, s);
             row.push_back(stats::Table::fmt(
                 static_cast<double>(m.peak_rss_pages) /
                     static_cast<double>(base.peak_rss_pages),
@@ -61,7 +67,7 @@ main()
         }
         // Mean quarantine at trigger relative to live heap: the
         // policy targets 33%.
-        const auto &rel = runner.run(n, core::Strategy::kReloaded);
+        const auto &rel = spec(n, core::Strategy::kReloaded);
         const double q =
             rel.quarantine.meanAllocAtTrigger() > 0
                 ? rel.quarantine.meanQuarantineAtTrigger() /

@@ -14,6 +14,7 @@
 
 using namespace crev;
 using benchutil::overhead;
+using benchutil::specCell;
 
 int
 main()
@@ -21,11 +22,13 @@ main()
     benchutil::banner("Figure 4: SPEC bus traffic overheads",
                       "paper fig. 4");
 
-    benchutil::SpecRunner runner;
     std::vector<core::Strategy> all{core::Strategy::kBaseline};
     all.insert(all.end(), benchutil::kSafe.begin(),
                benchutil::kSafe.end());
-    runner.prefetch(workload::revokingSpecNames(), all);
+    benchutil::CellRunner runner;
+    runner.request(
+        benchutil::specCells(workload::revokingSpecNames(), all));
+    runner.run();
 
     stats::Table table({"benchmark", "baseline_tx", "cherivoke",
                         "cornucopia", "reloaded", "rel/corn"});
@@ -33,12 +36,13 @@ main()
     std::vector<double> ratios;
 
     for (const auto &name : workload::revokingSpecNames()) {
-        const auto &base = runner.run(name, core::Strategy::kBaseline);
+        const auto &base =
+            runner.at(specCell(name, core::Strategy::kBaseline)).metrics;
         std::vector<std::string> row{
             name, std::to_string(base.bus_transactions_total)};
         double corn_tx = 0, rel_tx = 0;
         for (core::Strategy s : benchutil::kSafe) {
-            const auto &m = runner.run(name, s);
+            const auto &m = runner.at(specCell(name, s)).metrics;
             row.push_back(stats::Table::pct(overhead(
                 static_cast<double>(m.bus_transactions_total),
                 static_cast<double>(base.bus_transactions_total))));

@@ -9,7 +9,6 @@
  */
 
 #include "bench_util.h"
-#include "workload/pgbench.h"
 
 using namespace crev;
 using benchutil::overhead;
@@ -20,20 +19,13 @@ main()
     benchutil::banner("Figure 5: pgbench normalized time overheads",
                       "paper fig. 5");
 
-    workload::PgbenchConfig cfg;
-
-    // All five cells are independent machines: run them across the
-    // host thread pool, keeping baseline-first output order.
-    std::vector<core::Strategy> all{core::Strategy::kBaseline};
-    all.insert(all.end(), benchutil::kSafeAndPaint.begin(),
-               benchutil::kSafeAndPaint.end());
-    std::fprintf(stderr, "  running %zu pgbench cells on %u host "
-                 "threads...\n",
-                 all.size(), benchutil::benchThreads());
-    auto results = benchutil::parallelMap(
-        all.size(),
-        [&](std::size_t i) { return workload::runPgbench(all[i], cfg); });
-    const auto &base = results[0];
+    benchutil::CellRunner runner;
+    runner.request(benchutil::pgbenchCell(core::Strategy::kBaseline));
+    for (core::Strategy s : benchutil::kSafeAndPaint)
+        runner.request(benchutil::pgbenchCell(s));
+    runner.run();
+    const auto &base =
+        runner.at(benchutil::pgbenchCell(core::Strategy::kBaseline));
 
     stats::Table table({"strategy", "wall", "cpu_total",
                         "server_thread"});
@@ -45,9 +37,8 @@ main()
                   stats::Table::fmt(cyclesToMillis(
                       base.metrics.thread_busy.at("pg-server")))});
 
-    for (std::size_t i = 1; i < all.size(); ++i) {
-        const core::Strategy s = all[i];
-        const auto &r = results[i];
+    for (core::Strategy s : benchutil::kSafeAndPaint) {
+        const auto &r = runner.at(benchutil::pgbenchCell(s));
         table.addRow(
             {core::strategyName(s),
              stats::Table::pct(overhead(

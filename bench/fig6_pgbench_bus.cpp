@@ -10,7 +10,6 @@
  */
 
 #include "bench_util.h"
-#include "workload/pgbench.h"
 
 using namespace crev;
 using benchutil::overhead;
@@ -32,9 +31,13 @@ main()
     benchutil::banner("Figure 6: pgbench normalized bus overheads",
                       "paper fig. 6");
 
-    workload::PgbenchConfig cfg;
-    const auto base =
-        workload::runPgbench(core::Strategy::kBaseline, cfg);
+    benchutil::CellRunner runner;
+    runner.request(benchutil::pgbenchCell(core::Strategy::kBaseline));
+    for (core::Strategy s : benchutil::kSafeAndPaint)
+        runner.request(benchutil::pgbenchCell(s));
+    runner.run();
+    const auto &base =
+        runner.at(benchutil::pgbenchCell(core::Strategy::kBaseline));
 
     stats::Table table(
         {"strategy", "bus_total", "bus_app_core", "abs_total_tx"});
@@ -43,9 +46,7 @@ main()
 
     double corn_ovh = 0, rel_ovh = 0;
     for (core::Strategy s : benchutil::kSafeAndPaint) {
-        std::fprintf(stderr, "  running pgbench/%s...\n",
-                     core::strategyName(s));
-        const auto r = workload::runPgbench(s, cfg);
+        const auto &r = runner.at(benchutil::pgbenchCell(s));
         const double total_ovh = overhead(
             static_cast<double>(r.metrics.bus_transactions_total),
             static_cast<double>(base.metrics.bus_transactions_total));

@@ -16,7 +16,6 @@
 #include <cmath>
 
 #include "bench_util.h"
-#include "workload/pgbench.h"
 
 using namespace crev;
 
@@ -55,24 +54,23 @@ main()
         "Figure 7: pgbench per-transaction latency CDF",
         "paper fig. 7");
 
-    workload::PgbenchConfig cfg;
+    std::vector<core::Strategy> all{core::Strategy::kBaseline};
+    all.insert(all.end(), benchutil::kSafeAndPaint.begin(),
+               benchutil::kSafeAndPaint.end());
+    benchutil::CellRunner runner;
+    for (core::Strategy s : all)
+        runner.request(benchutil::pgbenchCell(s));
+    runner.run();
 
     struct Run
     {
         const char *name;
-        core::Strategy s;
-        workload::PgbenchResult r;
+        const benchutil::CellResult &r;
     };
     std::vector<Run> runs;
-    runs.push_back({"baseline", core::Strategy::kBaseline, {}});
-    runs.push_back({"paint+sync", core::Strategy::kPaintOnly, {}});
-    runs.push_back({"cherivoke", core::Strategy::kCheriVoke, {}});
-    runs.push_back({"cornucopia", core::Strategy::kCornucopia, {}});
-    runs.push_back({"reloaded", core::Strategy::kReloaded, {}});
-    for (auto &run : runs) {
-        std::fprintf(stderr, "  running pgbench/%s...\n", run.name);
-        run.r = workload::runPgbench(run.s, cfg);
-    }
+    for (core::Strategy s : all)
+        runs.push_back(
+            {core::strategyName(s), runner.at(benchutil::pgbenchCell(s))});
 
     // CDF table at fixed latency points (ms).
     std::vector<double> points;

@@ -13,7 +13,6 @@
  */
 
 #include "bench_util.h"
-#include "workload/grpc_qps.h"
 
 using namespace crev;
 
@@ -23,18 +22,13 @@ main()
     benchutil::banner("Figure 8: gRPC QPS latency percentiles",
                       "paper fig. 8");
 
-    workload::GrpcConfig cfg;
-
-    const std::vector<core::Strategy> all{
-        core::Strategy::kBaseline, core::Strategy::kCheriVoke,
-        core::Strategy::kCornucopia, core::Strategy::kReloaded};
-    std::fprintf(stderr,
-                 "  running %zu grpc cells on %u host threads...\n",
-                 all.size(), benchutil::benchThreads());
-    auto results = benchutil::parallelMap(
-        all.size(),
-        [&](std::size_t i) { return workload::runGrpcQps(all[i], cfg); });
-    const auto &base = results[0];
+    benchutil::CellRunner runner;
+    runner.request(benchutil::grpcCell(core::Strategy::kBaseline));
+    for (core::Strategy s : benchutil::kSafe)
+        runner.request(benchutil::grpcCell(s));
+    runner.run();
+    const auto &base =
+        runner.at(benchutil::grpcCell(core::Strategy::kBaseline));
 
     const std::vector<std::pair<const char *, double>> pcts = {
         {"p50", 0.50}, {"p90", 0.90},   {"p95", 0.95},
@@ -55,9 +49,8 @@ main()
         table.addRow(row);
     }
 
-    for (std::size_t i = 1; i < all.size(); ++i) {
-        const core::Strategy s = all[i];
-        const auto &r = results[i];
+    for (core::Strategy s : benchutil::kSafe) {
+        const auto &r = runner.at(benchutil::grpcCell(s));
         std::vector<std::string> row{core::strategyName(s)};
         for (auto &[n, q] : pcts)
             row.push_back(stats::Table::fmt(

@@ -25,11 +25,10 @@
  */
 
 #include <cstring>
+#include <functional>
 
 #include "bench_util.h"
 #include "trace/metrics_registry.h"
-#include "workload/grpc_qps.h"
-#include "workload/pgbench.h"
 
 using namespace crev;
 
@@ -55,14 +54,20 @@ boxStr(const stats::Boxplot &b)
            stats::Table::fmt(b.p75, 1);
 }
 
+/** One row from the cells @p key names for each of the three
+ *  revoking strategies. */
 void
 addRows(stats::Table &table, const std::string &bench,
-        const std::map<std::string, std::vector<revoker::EpochTiming>>
-            &per_strategy)
+        const benchutil::CellRunner &runner,
+        const std::function<benchutil::CellKey(core::Strategy)> &key)
 {
-    const auto &cv = per_strategy.at("cherivoke");
-    const auto &co = per_strategy.at("cornucopia");
-    const auto &re = per_strategy.at("reloaded");
+    const auto epochs = [&](core::Strategy s)
+        -> const std::vector<revoker::EpochTiming> & {
+        return runner.at(key(s)).metrics.epochs;
+    };
+    const auto &cv = epochs(core::Strategy::kCheriVoke);
+    const auto &co = epochs(core::Strategy::kCornucopia);
+    const auto &re = epochs(core::Strategy::kReloaded);
     table.addRow({bench, boxStr(phaseBox(cv,
                                 &revoker::EpochTiming::stw_duration)),
                   boxStr(phaseBox(co,
@@ -229,50 +234,22 @@ main(int argc, char **argv)
     stats::Table table({"benchmark", "cv_stw", "corn_conc", "corn_stw",
                         "rel_stw", "rel_conc", "rel_faults"});
 
-    benchutil::SpecRunner runner;
     const std::vector<std::string> spec_names{
         "astar", "omnetpp", "xalancbmk",
         "hmmer_retro", "gobmk", "libquantum"};
-    runner.prefetch(spec_names, benchutil::kSafe);
-    for (const auto &name : spec_names) {
-        std::map<std::string, std::vector<revoker::EpochTiming>> per;
-        for (core::Strategy s : benchutil::kSafe)
-            per[core::strategyName(s)] = runner.run(name, s).epochs;
-        addRows(table, name, per);
-    }
-
-    {
-        workload::PgbenchConfig cfg;
-        std::fprintf(stderr, "  running pgbench cells on %u host "
-                     "threads...\n",
-                     benchutil::benchThreads());
-        auto results = benchutil::parallelMap(
-            benchutil::kSafe.size(), [&](std::size_t i) {
-                return workload::runPgbench(benchutil::kSafe[i], cfg)
-                    .metrics.epochs;
-            });
-        std::map<std::string, std::vector<revoker::EpochTiming>> per;
-        for (std::size_t i = 0; i < benchutil::kSafe.size(); ++i)
-            per[core::strategyName(benchutil::kSafe[i])] =
-                std::move(results[i]);
-        addRows(table, "pgbench", per);
-    }
-    {
-        workload::GrpcConfig cfg;
-        std::fprintf(stderr, "  running grpc cells on %u host "
-                     "threads...\n",
-                     benchutil::benchThreads());
-        auto results = benchutil::parallelMap(
-            benchutil::kSafe.size(), [&](std::size_t i) {
-                return workload::runGrpcQps(benchutil::kSafe[i], cfg)
-                    .metrics.epochs;
-            });
-        std::map<std::string, std::vector<revoker::EpochTiming>> per;
-        for (std::size_t i = 0; i < benchutil::kSafe.size(); ++i)
-            per[core::strategyName(benchutil::kSafe[i])] =
-                std::move(results[i]);
-        addRows(table, "grpc_qps", per);
-    }
+    benchutil::CellRunner runner;
+    runner.request(benchutil::specCells(spec_names, benchutil::kSafe));
+    for (core::Strategy s : benchutil::kSafe)
+        runner.request(benchutil::pgbenchCell(s));
+    for (core::Strategy s : benchutil::kSafe)
+        runner.request(benchutil::grpcCell(s));
+    runner.run();
+    for (const auto &name : spec_names)
+        addRows(table, name, runner, [&](core::Strategy s) {
+            return benchutil::specCell(name, s);
+        });
+    addRows(table, "pgbench", runner, benchutil::pgbenchCell);
+    addRows(table, "grpc_qps", runner, benchutil::grpcCell);
 
     table.print();
 
@@ -285,7 +262,8 @@ main(int argc, char **argv)
         {"strategy", "pages", "lines", "caps_seen", "revoked"});
     for (core::Strategy s : benchutil::kSafe) {
         trace::MetricsRegistry reg;
-        runner.run("hmmer_retro", s).exportTo(reg);
+        runner.at(benchutil::specCell("hmmer_retro", s))
+            .metrics.exportTo(reg);
         work.addRow(
             {core::strategyName(s),
              std::to_string(reg.counterValue("sweep.pages_swept")),

@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "bench_runner.h"
 #include "cap/compression.h"
 #include "core/machine.h"

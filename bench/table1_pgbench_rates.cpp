@@ -10,7 +10,6 @@
  */
 
 #include "bench_util.h"
-#include "workload/pgbench.h"
 
 using namespace crev;
 
@@ -25,47 +24,39 @@ main()
     // The paper's rates (100/150/250 tx/s) correspond to fractions of
     // the unscheduled throughput (~284 tx/s): ~35%, ~53%, ~88%. Our
     // simulated server runs at a different absolute rate, so we match
-    // those utilisation fractions.
+    // those utilisation fractions, probed first with a shorter run.
+    const core::Strategy rel = core::Strategy::kReloaded;
     workload::PgbenchConfig probe;
     probe.transactions = 1500;
-    std::fprintf(stderr, "  probing unscheduled throughput...\n");
-    const auto unsched_probe =
-        workload::runPgbench(core::Strategy::kReloaded, probe);
+    benchutil::CellRunner runner;
+    runner.add("pgbench/reloaded/probe",
+               [=] { return workload::runPgbench(rel, probe); });
+    runner.request(benchutil::pgbenchCell(rel));
+    runner.run();
     const double unsched_tps =
         static_cast<double>(probe.transactions) /
-        unsched_probe.metrics.wallSeconds();
+        runner.at("pgbench/reloaded/probe").metrics.wallSeconds();
 
-    stats::Table table({"tx/s", "p50", "p90", "p95", "p99", "p99.9"});
-
-    const double fractions[] = {0.35, 0.53, 0.88};
-    for (double f : fractions) {
+    std::vector<std::pair<std::string, std::string>> rows; // label, cell
+    for (double f : {0.35, 0.53, 0.88}) {
         workload::PgbenchConfig cfg;
         cfg.rate_tps = unsched_tps * f;
-        std::fprintf(stderr, "  running rate=%.0f tx/s...\n",
-                     cfg.rate_tps);
-        const auto r =
-            workload::runPgbench(core::Strategy::kReloaded, cfg);
-        table.addRow({stats::Table::fmt(cfg.rate_tps, 0),
-                      stats::Table::fmt(r.latency_ms.percentile(0.50), 4),
-                      stats::Table::fmt(r.latency_ms.percentile(0.90), 4),
-                      stats::Table::fmt(r.latency_ms.percentile(0.95), 4),
-                      stats::Table::fmt(r.latency_ms.percentile(0.99), 4),
-                      stats::Table::fmt(r.latency_ms.percentile(0.999),
-                                        4)});
+        const std::string label = stats::Table::fmt(cfg.rate_tps, 0);
+        rows.push_back({label, "pgbench/reloaded/rate=" + label});
+        runner.add(rows.back().second,
+                   [=] { return workload::runPgbench(rel, cfg); });
     }
+    rows.push_back({"unscheduled", benchutil::pgbenchCell(rel).name()});
+    runner.run();
 
-    {
-        workload::PgbenchConfig cfg;
-        std::fprintf(stderr, "  running unscheduled...\n");
-        const auto r =
-            workload::runPgbench(core::Strategy::kReloaded, cfg);
-        table.addRow({"unscheduled",
-                      stats::Table::fmt(r.latency_ms.percentile(0.50), 4),
-                      stats::Table::fmt(r.latency_ms.percentile(0.90), 4),
-                      stats::Table::fmt(r.latency_ms.percentile(0.95), 4),
-                      stats::Table::fmt(r.latency_ms.percentile(0.99), 4),
-                      stats::Table::fmt(r.latency_ms.percentile(0.999),
-                                        4)});
+    stats::Table table({"tx/s", "p50", "p90", "p95", "p99", "p99.9"});
+    for (const auto &[label, cell] : rows) {
+        const auto &l = runner.at(cell).latency_ms;
+        table.addRow({label, stats::Table::fmt(l.percentile(0.50), 4),
+                      stats::Table::fmt(l.percentile(0.90), 4),
+                      stats::Table::fmt(l.percentile(0.95), 4),
+                      stats::Table::fmt(l.percentile(0.99), 4),
+                      stats::Table::fmt(l.percentile(0.999), 4)});
     }
 
     table.print();

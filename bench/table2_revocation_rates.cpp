@@ -13,8 +13,6 @@
  */
 
 #include "bench_util.h"
-#include "workload/grpc_qps.h"
-#include "workload/pgbench.h"
 
 using namespace crev;
 
@@ -50,27 +48,21 @@ main()
     stats::Table table({"benchmark", "mean_alloc_MiB", "sum_freed_MiB",
                         "F:A", "revocations", "rev/sec"});
 
-    benchutil::SpecRunner runner;
-    for (const auto &name :
-         {"xalancbmk", "astar", "omnetpp", "hmmer_nph3", "hmmer_retro",
-          "gobmk"}) {
+    const core::Strategy rel = core::Strategy::kReloaded;
+    const std::vector<std::string> spec_names{
+        "xalancbmk", "astar",       "omnetpp",
+        "hmmer_nph3", "hmmer_retro", "gobmk"};
+    benchutil::CellRunner runner;
+    runner.request(benchutil::specCells(spec_names, {rel}));
+    runner.request(benchutil::pgbenchCell(rel));
+    runner.request(benchutil::grpcCell(rel));
+    runner.run();
+    for (const auto &name : spec_names)
         addRow(table, name,
-               runner.run(name, core::Strategy::kReloaded));
-    }
-    {
-        workload::PgbenchConfig cfg;
-        std::fprintf(stderr, "  running pgbench/reloaded...\n");
-        addRow(table, "pgbench",
-               workload::runPgbench(core::Strategy::kReloaded, cfg)
-                   .metrics);
-    }
-    {
-        workload::GrpcConfig cfg;
-        std::fprintf(stderr, "  running grpc/reloaded...\n");
-        addRow(table, "grpc_qps",
-               workload::runGrpcQps(core::Strategy::kReloaded, cfg)
-                   .metrics);
-    }
+               runner.at(benchutil::specCell(name, rel)).metrics);
+    addRow(table, "pgbench",
+           runner.at(benchutil::pgbenchCell(rel)).metrics);
+    addRow(table, "grpc_qps", runner.at(benchutil::grpcCell(rel)).metrics);
 
     table.print();
     std::printf(

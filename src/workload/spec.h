@@ -70,7 +70,7 @@ struct SpecProfile
     bool init_fill = false;
 };
 
-/** All eight profiles, in the paper's figure order. */
+/** All nine profiles, in the paper's figure order. */
 const std::vector<SpecProfile> &specProfiles();
 
 /** Lookup by name; fatal if unknown. */

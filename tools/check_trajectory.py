@@ -9,35 +9,15 @@ gate. The file kind is dispatched on the top-level "bench" key.
 bench_all trajectory files (DESIGN.md §9):
   - every run's "end_to_end.sim_results_match" must be true (every
     e2e leg, on one host thread and on the thread pool, produced
-    identical RunMetrics; runs recorded while the simulator had two
-    scheduler engines also compared a "reference_serial" leg on the
-    serial token engine);
+    identical simulated results: equal per-cell digests of the full
+    metrics registry, or six summary fields in runs recorded before
+    the digest; runs recorded while the simulator had two scheduler
+    engines also compared a "reference_serial" leg on the serial
+    token engine);
   - every run's sweep_microbench rows must have "sim_cycles_match"
     true (simulated cycles per page equal across every trial of the
     sweep; runs recorded before the reference sweep was deleted
     compared the fast sweep against it instead);
-  - runs carrying an "intra_cell" record (written while the
-    simulator had two scheduler engines) must have
-    "sim_results_match" true (serial token engine and lockstep engine
-    produced identical RunMetrics) and "intra_cell_speedup" >= 1.0
-    (the lockstep engine was never slower than the reference);
-  - runs carrying an "alloc_shard" record (written while the
-    allocator could be sharded per core) must have
-    "sim_results_match" true (identical RunMetrics across trials at
-    every shard count; two-engine records also compared the engines)
-    and "remote_free_sends" > 0 (the sharded cell really drove the
-    remote-dealloc queues); records that emit a "min_leg_seconds"
-    floor must have every timed "*_seconds" leg they carry at or
-    above it (sub-threshold legs are pure host jitter, not
-    measurements) — "single_seconds"/"sharded_seconds" in one-engine
-    records, four per-engine legs in two-engine ones;
-  - runs carrying a "kernels" record (written by older bench_all
-    builds with SIMD sweep kernels) must have "sim_results_match"
-    true (forced-scalar and dispatched kernel legs produced identical
-    simulated work), every leg's "sim_cycles_match" true, and the
-    record-level "host_speedup" (aggregate off/on ns across regimes)
-    >= 1.0 — per-leg ratios are informational because a regime with
-    no tag work measures pure host jitter;
   - runs with "host_threads" >= 2 must have
     "end_to_end.parallel_speedup" >= 1.15 (cross-cell scaling must not
     decay; a single-slot cpuset cannot scale cross-cell, so it is
@@ -93,81 +73,6 @@ def check_trajectory_runs(runs):
                 f'run "{label}": simulated results diverged across '
                 "host configurations"
             )
-        # Only runs from the two-engine era carry the intra-cell
-        # engine comparison; gate it where recorded.
-        intra = run.get("intra_cell")
-        if intra is not None:
-            if intra.get("sim_results_match") is not True:
-                fail(
-                    f'run "{label}" cell "{intra.get("cell")}": '
-                    "serial and lockstep engines diverged"
-                )
-            speedup = intra.get("intra_cell_speedup")
-            if not isinstance(speedup, (int, float)) or speedup < 1.0:
-                fail(
-                    f'run "{label}" cell "{intra.get("cell")}": '
-                    f"lockstep engine slower than serial "
-                    f"(speedup {speedup})"
-                )
-        # Only runs from the sharded-allocator era carry the
-        # alloc_shard A/B; gate it where recorded.
-        ashard = run.get("alloc_shard")
-        if ashard is not None:
-            if ashard.get("sim_results_match") is not True:
-                fail(
-                    f'run "{label}" alloc_shard: simulated results '
-                    "diverged on the sharded heap"
-                )
-            sends = ashard.get("remote_free_sends")
-            if not isinstance(sends, int) or sends <= 0:
-                fail(
-                    f'run "{label}" alloc_shard: sharded cell drove '
-                    f"no remote frees (remote_free_sends {sends})"
-                )
-            # Records that emit a noise floor promise every timed leg
-            # clears it (older records predate the field).
-            floor = ashard.get("min_leg_seconds")
-            if isinstance(floor, (int, float)):
-                legs = [k for k in ashard
-                        if k.endswith("_seconds") and
-                        k != "min_leg_seconds"]
-                if not legs:
-                    fail(f'run "{label}" alloc_shard: no timed legs')
-                for leg in legs:
-                    secs = ashard.get(leg)
-                    if not isinstance(secs, (int, float)) or \
-                            secs < floor:
-                        fail(
-                            f'run "{label}" alloc_shard leg "{leg}": '
-                            f"{secs}s is below the {floor}s noise "
-                            "floor (noise-sized A/B measurement)"
-                        )
-        # Older runs predate the kernels A/B; gate it only where
-        # recorded.
-        kernels = run.get("kernels")
-        if kernels is not None:
-            if kernels.get("sim_results_match") is not True:
-                fail(
-                    f'run "{label}" kernels: simulated results '
-                    "diverged between scalar and dispatched legs"
-                )
-            legs = kernels.get("legs")
-            if not isinstance(legs, list) or not legs:
-                fail(f'run "{label}" kernels: no legs recorded')
-            for leg in legs:
-                regime = leg.get("regime")
-                if leg.get("sim_cycles_match") is not True:
-                    fail(
-                        f'run "{label}" kernels regime "{regime}": '
-                        "simulated cycles diverged between legs"
-                    )
-            speedup = kernels.get("host_speedup")
-            if not isinstance(speedup, (int, float)) or speedup < 1.0:
-                fail(
-                    f'run "{label}" kernels: dispatched kernels '
-                    f"slower than scalar overall "
-                    f"(host_speedup {speedup})"
-                )
         # Cross-cell scaling must not decay — but only a multi-slot
         # cpuset can scale at all.
         threads = run.get("host_threads")
